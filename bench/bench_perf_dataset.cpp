@@ -37,7 +37,8 @@
 //   store_* counters      CRC/chunk/mmap telemetry via RegistryDelta
 //
 // CI runs the v2/v3/row trio and fails if v3 bytes_per_row exceeds 0.6x
-// v2, or if the columnar build rate drops below 2.5x the row path (the
+// v2, if the columnar build rate drops below 2.5x the row path, or if the
+// v3 build rate drops below 0.5x v2 or 1.5x the row path (the
 // dataset-bench-gate job in .github/workflows/ci.yml).
 //
 // Correctness is asserted in-harness: every configuration's dataset must
@@ -251,9 +252,9 @@ BENCHMARK(BM_DatasetBuildColumnar)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-/// Same build through the compressed v3 format: per-chunk column frames
-/// are decoded lazily into scratch, so the digest check also pins the
-/// decode path bit-identical to the v2 zero-copy walk.
+/// Same build through the compressed v3 format: each build worker decodes
+/// chunk column frames into its recycled scan scratch, so the digest check
+/// also pins the decode path bit-identical to the v2 zero-copy walk.
 void BM_DatasetBuildColumnarV3(benchmark::State& state) {
   run_columnar_build(state, v3_path(static_cast<std::uint32_t>(state.range(0))),
                      /*verify_crc=*/false);

@@ -1,6 +1,9 @@
 #include "core/dataset_builder.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -308,16 +311,18 @@ ml::Dataset build_dataset(const trace::FleetTrace& fleet,
   return out;
 }
 
-ml::Dataset build_dataset(const store::ColumnarFleetView& fleet,
-                          const DatasetBuildOptions& options) {
-  static const obs::SiteId kSite = obs::intern_site("core.build_dataset_columnar");
-  obs::Span span(kSite);
+namespace {
+
+/// Chunk-parallel build over every chunk of `views`, in view then chunk
+/// order.  The writer preserves fleet order across chunks and shards, so
+/// the merged row order matches the sequential row-path build exactly
+/// (per-row decisions are keyed by (seed, uid, day), never by file
+/// position).
+ml::Dataset build_from_chunks(std::span<const store::ColumnarFleetView* const> views,
+                              const DatasetBuildOptions& options) {
   if (options.lookahead_days < 1)
     throw std::invalid_argument("DatasetBuildOptions: lookahead_days must be >= 1");
 
-  // One partial dataset per chunk, merged in chunk order below; the writer
-  // preserves fleet order across chunks, so the merged row order matches
-  // the sequential row-path build exactly.
   // Zone-map pushdown: a chunk whose zone map proves "no drive of the
   // filtered model" never gets touched (and, for v3, never gets decoded).
   // Pruning is exactly the per-drive model filter below hoisted to chunk
@@ -330,14 +335,24 @@ ml::Dataset build_dataset(const store::ColumnarFleetView& fleet,
   predicate.min_swap_day = options.min_swap_day;
   predicate.max_swap_day = options.max_swap_day;
 
-  std::vector<ml::Dataset> partials(fleet.chunk_count());
-  const auto build_chunk = [&fleet, &options, &partials, &predicate](std::size_t c) {
-    if (!fleet.zone_map(c).may_match(predicate)) {
+  struct ChunkRef {
+    const store::ColumnarFleetView* view;
+    std::size_t index;
+  };
+  std::vector<ChunkRef> chunks;
+  for (const store::ColumnarFleetView* view : views)
+    for (std::size_t c = 0; c < view->chunk_count(); ++c) chunks.push_back({view, c});
+
+  // One partial dataset per chunk, merged in chunk order below.
+  std::vector<ml::Dataset> partials(chunks.size());
+  const auto build_chunk = [&](std::size_t k, store::ChunkScratch& scratch,
+                               trace::DriveHistory& history) {
+    const auto [view, index] = chunks[k];
+    if (!view->zone_map(index).may_match(predicate)) {
       chunks_pruned_counter().inc();
       return;
     }
-    const store::ChunkView& chunk = fleet.chunk(c);
-    trace::DriveHistory scratch;
+    const store::ChunkView& chunk = view->scan_chunk(index, scratch);
     for (const store::DriveRef& ref : chunk.drives) {
       // Filter pushdown: the drive index answers the model/class filters
       // without touching a single column byte.
@@ -351,22 +366,32 @@ ml::Dataset build_dataset(const store::ColumnarFleetView& fleet,
                              chunk.swap_days.subspan(ref.swap_begin, ref.swap_count)))
         continue;
       if (ref.swap_count == 0) {
-        append_columnar_drive(partials[c], chunk, ref, options);
+        append_columnar_drive(partials[k], chunk, ref, options);
       } else {
-        chunk.gather_drive(ref, scratch);
-        append_drive(partials[c], scratch, options);
+        chunk.gather_drive(ref, history);
+        append_drive(partials[k], history, options);
       }
     }
   };
-  // Same sequential degradation as parallel_for: one worker (or one
+  // Each worker owns one decode scratch and pulls chunks until none are
+  // left, so a build keeps at most one uncached decoded chunk per worker
+  // alive and recycles its buffer, instead of caching every chunk in the
+  // view.  Same sequential degradation as parallel_for: one worker (or one
   // chunk) means TaskGroup handoff is pure overhead.
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    store::ChunkScratch scratch;
+    trace::DriveHistory history;
+    for (std::size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) < chunks.size();)
+      build_chunk(k, scratch, history);
+  };
   parallel::ThreadPool& pool = parallel::ThreadPool::current();
-  if (pool.size() <= 1 || fleet.chunk_count() <= 1 || pool.on_worker_thread()) {
-    for (std::size_t c = 0; c < fleet.chunk_count(); ++c) build_chunk(c);
+  if (pool.size() <= 1 || chunks.size() <= 1 || pool.on_worker_thread()) {
+    drain();
   } else {
     parallel::TaskGroup group(pool);
-    for (std::size_t c = 0; c < fleet.chunk_count(); ++c)
-      group.submit([&build_chunk, c] { build_chunk(c); });
+    for (std::size_t w = 0; w < std::min<std::size_t>(pool.size(), chunks.size()); ++w)
+      group.submit(drain);
     group.wait();
   }
 
@@ -381,23 +406,25 @@ ml::Dataset build_dataset(const store::ColumnarFleetView& fleet,
   return out;
 }
 
+}  // namespace
+
+ml::Dataset build_dataset(const store::ColumnarFleetView& fleet,
+                          const DatasetBuildOptions& options) {
+  static const obs::SiteId kSite = obs::intern_site("core.build_dataset_columnar");
+  obs::Span span(kSite);
+  const store::ColumnarFleetView* const views[] = {&fleet};
+  return build_from_chunks(views, options);
+}
+
 ml::Dataset build_dataset(const store::ShardedFleetView& fleet,
                           const DatasetBuildOptions& options) {
   static const obs::SiteId kSite = obs::intern_site("core.build_dataset_sharded");
   obs::Span span(kSite);
-  // Every per-row decision is keyed by (seed, drive uid, day), so building
-  // shard by shard in manifest order yields exactly the rows a single-file
-  // build of the concatenated fleet would (finalize_dataset is per-row).
-  ml::Dataset out;
-  for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
-    ml::Dataset part = build_dataset(fleet.shard(s), options);
-    out.x.append_rows(part.x);
-    out.y.insert(out.y.end(), part.y.begin(), part.y.end());
-    out.groups.insert(out.groups.end(), part.groups.begin(), part.groups.end());
-    if (out.feature_names.empty()) out.feature_names = std::move(part.feature_names);
-  }
-  finalize_dataset(out, options);
-  return out;
+  // One build over every shard's chunks (manifest order) load-balances
+  // across shard boundaries.
+  std::vector<const store::ColumnarFleetView*> views;
+  for (std::size_t s = 0; s < fleet.shard_count(); ++s) views.push_back(&fleet.shard(s));
+  return build_from_chunks(views, options);
 }
 
 namespace {

@@ -113,17 +113,19 @@ struct DatasetBuildOptions {
                                         const DatasetBuildOptions& options);
 
 /// Build chunk-parallel from a columnar view (store/columnar.hpp) without
-/// ever materializing the fleet: each worker gathers one drive at a time
-/// from the mapped columns into a per-chunk scratch history.  Bit-identical
-/// to the row-path builds — same rows, same order, same floats (pinned by
+/// ever materializing the fleet: each worker scans chunks through its own
+/// recycled decode scratch (v3; ColumnarFleetView::scan_chunk) and gathers
+/// only drives with swaps into a scratch history.  Bit-identical to the
+/// row-path builds — same rows, same order, same floats (pinned by
 /// tests/core/test_dataset_builder.cpp ColumnarBuildMatchesRowBuild).
 [[nodiscard]] ml::Dataset build_dataset(const store::ColumnarFleetView& fleet,
                                         const DatasetBuildOptions& options);
 
-/// Build over a sharded store (store/sharded.hpp), shard by shard in
-/// manifest order.  Bit-identical to a single-file build of the
-/// concatenated fleet — per-row decisions are keyed by (seed, uid, day),
-/// never by file position.
+/// Build over a sharded store (store/sharded.hpp): one chunk-parallel
+/// build over every shard's chunks, merged in manifest order.
+/// Bit-identical to a single-file build of the concatenated fleet —
+/// per-row decisions are keyed by (seed, uid, day), never by file
+/// position.
 [[nodiscard]] ml::Dataset build_dataset(const store::ShardedFleetView& fleet,
                                         const DatasetBuildOptions& options);
 

@@ -305,9 +305,13 @@ void TelemetryDaemon::process_records(Shard& shard,
   BatchObserver* const observer =
       recovering_.load(std::memory_order_relaxed) ? nullptr : config_.batch_observer;
 
+  // Every record the sanitizer keeps or quarantines, in arrival order.
+  // Health is observed in this order after scoring, so a drive's health
+  // never depends on how its records fell into appender batches.
   struct Prepared {
     std::uint64_t uid;
     std::int32_t day;
+    bool quarantined;
     bool suspect;
     bool dead;
   };
@@ -330,9 +334,7 @@ void TelemetryDaemon::process_records(Shard& shard,
     switch (clean.action) {
       case robustness::SanitizeAction::kQuarantined:
         quarantined_.fetch_add(1, std::memory_order_relaxed);
-        // Irreparable telemetry is itself a symptom: a ramp-tier strike,
-        // but never a swap (a corrupt record's dead flag is not trusted).
-        shard.health.observe(uid, 0.0, /*suspect=*/true, /*dead=*/false);
+        prepared.push_back({uid, obs.record.day, /*quarantined=*/true, false, false});
         continue;
       case robustness::SanitizeAction::kDuplicateDropped:
         duplicates_.fetch_add(1, std::memory_order_relaxed);
@@ -347,23 +349,29 @@ void TelemetryDaemon::process_records(Shard& shard,
     // cannot throw.
     it->second.advance_and_extract(clean.record, row);
     rows.push_row(row);
-    prepared.push_back({uid, clean.record.day,
+    prepared.push_back({uid, clean.record.day, /*quarantined=*/false,
                         clean.action == robustness::SanitizeAction::kRepaired,
                         clean.record.dead});
     if (observer != nullptr) clean_records.push_back(clean.record);
   }
-  if (prepared.empty()) return;
 
   std::vector<float> scores;
-  if (model != nullptr) scores = model->predict_proba(rows);
+  if (model != nullptr && rows.rows() > 0) scores = model->predict_proba(rows);
   std::uint64_t alerts = 0;
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    const Prepared& p = prepared[i];
+  std::size_t scored_row = 0;
+  for (const Prepared& p : prepared) {
+    if (p.quarantined) {
+      // Irreparable telemetry is itself a symptom: a ramp-tier strike,
+      // but never a swap (a corrupt record's dead flag is not trusted).
+      shard.health.observe(p.uid, 0.0, /*suspect=*/true, /*dead=*/false);
+      continue;
+    }
     DriveAssessment assessment;
     assessment.uid = p.uid;
     assessment.day = p.day;
     assessment.scored = model != nullptr;
-    assessment.score = assessment.scored ? scores[i] : 0.0f;
+    assessment.score = assessment.scored ? scores[scored_row] : 0.0f;
+    ++scored_row;
     assessment.alert = assessment.scored && assessment.score >= config_.threshold;
     if (assessment.alert) ++alerts;
     assessment.dead = p.dead;
@@ -372,10 +380,11 @@ void TelemetryDaemon::process_records(Shard& shard,
     if (config_.on_assessment) config_.on_assessment(assessment);
     if (observer != nullptr) assessments.push_back(assessment);
   }
+  if (rows.rows() == 0) return;
   if (observer != nullptr) observer->on_batch(rows, clean_records, assessments);
   if (model != nullptr) {
-    scored_.fetch_add(prepared.size(), std::memory_order_relaxed);
-    scored_metric_->inc(prepared.size());
+    scored_.fetch_add(rows.rows(), std::memory_order_relaxed);
+    scored_metric_->inc(rows.rows());
     alerts_.fetch_add(alerts, std::memory_order_relaxed);
     alerts_metric_->inc(alerts);
   }

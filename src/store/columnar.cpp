@@ -1,6 +1,7 @@
 #include "store/columnar.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -453,24 +454,27 @@ void ChunkView::gather_drive(const DriveRef& ref, trace::DriveHistory& out) cons
     out.swaps[i].day = swap_days[ref.swap_begin + i];
 }
 
+std::byte* ChunkScratch::reserve(std::size_t bytes) {
+  if (bytes > buffer_.size()) {
+    buffer_ = AnonymousMemory();  // unmap before mapping the larger buffer
+    buffer_ = AnonymousMemory(bytes);
+  }
+  return buffer_.data();
+}
+
 /// Per-chunk lazy decode state for v3 files.  Column frames stay untouched
-/// in the backing bytes until the chunk is first accessed; decode fills the
-/// typed vectors below and points the ChunkView spans at them.  once_flag
-/// makes first-touch safe under chunk-parallel dataset builds.
+/// in the backing bytes until the chunk is first accessed through chunk();
+/// decode fills `cached` and publishes its spans.  once_flag makes first
+/// touch safe under concurrent readers; `decoded` lets scan_chunk reuse
+/// the cache without blocking on it.
 struct LazyChunk {
   std::once_flag once;
+  std::atomic<bool> decoded{false};
   std::size_t frames_begin = 0;  ///< absolute offset of the first frame
   std::size_t frames_end = 0;    ///< chunk end (frames + trailing pad)
   std::uint64_t n_records = 0;
   std::uint64_t n_swaps = 0;
-
-  std::vector<std::int32_t> day;
-  std::vector<std::uint32_t> reads, writes, erases, pe_cycles, bad_blocks;
-  std::vector<std::uint16_t> factory_bad_blocks;
-  std::vector<std::uint8_t> flags;
-  std::array<std::vector<std::uint32_t>, trace::kNumErrorTypes> errors;
-  std::array<std::vector<std::uint32_t>, trace::kNumExtCounterFields> ext;
-  std::vector<std::int32_t> swap_days;
+  ChunkScratch cached;
 };
 
 struct ColumnarFleetView::Impl {
@@ -498,84 +502,72 @@ struct ColumnarFleetView::Impl {
   /// v2 / frame extents for v3).
   void parse(const OpenOptions& options);
 
-  /// Decode chunk `index`'s column frames on first use (v3 only; no-op for
-  /// v2).  Throws std::runtime_error on malformed frames.
+  /// Decode chunk `index`'s column frames into `target` (v3 only) and
+  /// return its view.  Throws std::runtime_error on malformed frames.
+  const ChunkView& decode_into(std::size_t index, ChunkScratch& target) const;
+
+  /// Decode chunk `index` into its cache on first use (v3 only; no-op for
+  /// v2).
   void ensure_decoded(std::size_t index) const;
 };
+
+const ChunkView& ColumnarFleetView::Impl::decode_into(std::size_t index,
+                                                      ChunkScratch& target) const {
+  const LazyChunk& lc = *lazy[index];
+  const auto n = static_cast<std::size_t>(lc.n_records);
+  const auto n_swaps = static_cast<std::size_t>(lc.n_swaps);
+  const auto padded = [](std::size_t count, std::size_t elem) {
+    return (count * elem + 7) & ~std::size_t{7};
+  };
+  // One buffer, every column 8-aligned in frame order.
+  std::byte* next = target.reserve(
+      (6 + trace::kNumErrorTypes + trace::kNumExtCounterFields) * padded(n, 4) +
+      padded(n, 2) + padded(n, 1) + padded(n_swaps, 4));
+
+  Cursor cur(bytes, lc.frames_begin, lc.frames_end);
+  const auto read_frame = [&]<typename T>(std::span<const T>& column, std::size_t count) {
+    cur.align8();
+    const auto encoding = cur.get<std::uint32_t>();
+    if (cur.get<std::uint32_t>() != 0) fail("nonzero reserved field in frame");
+    const auto payload_bytes = cur.get<std::uint64_t>();
+    if (payload_bytes > lc.frames_end - cur.pos())
+      fail("truncated file (frame overruns chunk)");
+    const std::span<const char> payload =
+        bytes.subspan(cur.pos(), static_cast<std::size_t>(payload_bytes));
+    cur.skip(static_cast<std::size_t>(payload_bytes));
+    const std::span<T> out(reinterpret_cast<T*>(next), count);
+    decode_column(static_cast<ColumnEncoding>(encoding), payload, out);
+    column = out;
+    next += padded(count, sizeof(T));
+  };
+  ChunkView& view = target.view_;
+  view.drives = refs[index];
+  read_frame(view.day, n);
+  read_frame(view.reads, n);
+  read_frame(view.writes, n);
+  read_frame(view.erases, n);
+  read_frame(view.pe_cycles, n);
+  read_frame(view.bad_blocks, n);
+  read_frame(view.factory_bad_blocks, n);
+  read_frame(view.flags, n);
+  for (std::span<const std::uint32_t>& column : view.errors) read_frame(column, n);
+  read_frame(view.reallocated_sectors, n);
+  read_frame(view.seek_errors, n);
+  read_frame(view.media_wear, n);
+  read_frame(view.throttle_events, n);
+  read_frame(view.swap_days, n_swaps);
+  cur.align8();
+  if (cur.pos() != lc.frames_end) fail("chunk has trailing garbage");
+  chunks_read_counter().inc();
+  return view;
+}
 
 void ColumnarFleetView::Impl::ensure_decoded(std::size_t index) const {
   if (lazy.empty()) return;
   LazyChunk& lc = *lazy[index];
   std::call_once(lc.once, [&] {
-    Cursor cur(bytes, lc.frames_begin, lc.frames_end);
-    std::vector<std::uint64_t> decoded;
-    const auto read_frame = [&](std::size_t n, std::size_t elem_bytes,
-                                bool is_signed) {
-      cur.align8();
-      const auto encoding = cur.get<std::uint32_t>();
-      if (cur.get<std::uint32_t>() != 0) fail("nonzero reserved field in frame");
-      const auto payload_bytes = cur.get<std::uint64_t>();
-      if (payload_bytes > lc.frames_end - cur.pos())
-        fail("truncated file (frame overruns chunk)");
-      const std::span<const char> payload =
-          bytes.subspan(cur.pos(), static_cast<std::size_t>(payload_bytes));
-      cur.skip(static_cast<std::size_t>(payload_bytes));
-      decode_column(static_cast<ColumnEncoding>(encoding), payload, n, elem_bytes,
-                    is_signed, decoded);
-    };
-    const auto narrow = [&](auto& out) {
-      using T = typename std::remove_reference_t<decltype(out)>::value_type;
-      out.resize(decoded.size());
-      for (std::size_t i = 0; i < decoded.size(); ++i)
-        out[i] = static_cast<T>(decoded[i]);  // range-checked by decode_column
-    };
-    const auto n = static_cast<std::size_t>(lc.n_records);
-    read_frame(n, 4, true);
-    narrow(lc.day);
-    read_frame(n, 4, false);
-    narrow(lc.reads);
-    read_frame(n, 4, false);
-    narrow(lc.writes);
-    read_frame(n, 4, false);
-    narrow(lc.erases);
-    read_frame(n, 4, false);
-    narrow(lc.pe_cycles);
-    read_frame(n, 4, false);
-    narrow(lc.bad_blocks);
-    read_frame(n, 2, false);
-    narrow(lc.factory_bad_blocks);
-    read_frame(n, 1, false);
-    narrow(lc.flags);
-    for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e) {
-      read_frame(n, 4, false);
-      narrow(lc.errors[e]);
-    }
-    for (std::size_t x = 0; x < trace::kNumExtCounterFields; ++x) {
-      read_frame(n, 4, false);
-      narrow(lc.ext[x]);
-    }
-    read_frame(static_cast<std::size_t>(lc.n_swaps), 4, true);
-    narrow(lc.swap_days);
-    cur.align8();
-    if (cur.pos() != lc.frames_end) fail("chunk has trailing garbage");
-
-    ChunkView& view = chunks[index];
-    view.day = lc.day;
-    view.reads = lc.reads;
-    view.writes = lc.writes;
-    view.erases = lc.erases;
-    view.pe_cycles = lc.pe_cycles;
-    view.bad_blocks = lc.bad_blocks;
-    view.factory_bad_blocks = lc.factory_bad_blocks;
-    view.flags = lc.flags;
-    for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e)
-      view.errors[e] = lc.errors[e];
-    view.reallocated_sectors = lc.ext[0];
-    view.seek_errors = lc.ext[1];
-    view.media_wear = lc.ext[2];
-    view.throttle_events = lc.ext[3];
-    view.swap_days = lc.swap_days;
-    chunks_read_counter().inc();
+    chunks[index] = decode_into(index, lc.cached);
+    lc.decoded.store(true, std::memory_order_release);
   });
 }
 
@@ -817,6 +809,14 @@ const ChunkView& ColumnarFleetView::chunk(std::size_t index) const {
   const ChunkView& view = impl_->chunks.at(index);
   impl_->ensure_decoded(index);
   return view;
+}
+
+const ChunkView& ColumnarFleetView::scan_chunk(std::size_t index,
+                                               ChunkScratch& scratch) const {
+  const ChunkView& view = impl_->chunks.at(index);
+  if (impl_->lazy.empty() || impl_->lazy[index]->decoded.load(std::memory_order_acquire))
+    return view;
+  return impl_->decode_into(index, scratch);
 }
 
 const ChunkZoneMap& ColumnarFleetView::zone_map(std::size_t index) const {

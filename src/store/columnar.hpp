@@ -28,16 +28,19 @@
 //        a per-chunk ZONE MAP (per-column min/max, model mask, swap
 //        count) so scans can prove a chunk irrelevant and skip it before
 //        touching — or decoding — a single column byte (ScanPredicate).
-//        Chunks decode lazily into per-chunk scratch buffers on first
-//        access; the ChunkView API is identical, which is what keeps
-//        dataset builds bit-identical across v2 and v3 (pinned by
-//        tests/store/test_zone_map_pruning.cpp and the golden suite).
+//        Chunks decode straight into typed columns, either cached per
+//        chunk on first access (chunk()) or into a caller-owned, recycled
+//        ChunkScratch for one-pass scans (scan_chunk()); the ChunkView API
+//        is identical, which is what keeps dataset builds bit-identical
+//        across v2 and v3 (pinned by tests/store/test_zone_map_pruning.cpp
+//        and the golden suite).
 //
 // Same observable-only contract as v1: ground truth is never serialized.
 // Every field is little-endian; columns are 8-byte aligned so the mapped
 // spans are naturally aligned for their element type.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -46,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "store/mmap_file.hpp"
 #include "trace/drive_history.hpp"
 
 namespace ssdfail::store {
@@ -196,6 +200,23 @@ struct ChunkView {
   void gather_drive(const DriveRef& ref, trace::DriveHistory& out) const;
 };
 
+/// A reusable decode target for one-pass chunk scans
+/// (ColumnarFleetView::scan_chunk).  It owns one buffer that grows to the
+/// largest chunk decoded into it and is recycled across chunks, so a scan
+/// holds one decoded chunk per scratch instead of caching every chunk for
+/// the life of the view.  A large buffer is an anonymous mapping
+/// (AnonymousMemory), so its pages go back to the OS with the scratch.
+/// One scratch per concurrent scanner.
+class ChunkScratch {
+  friend class ColumnarFleetView;
+
+  /// At least `bytes` of 8-aligned storage; contents are unspecified.
+  std::byte* reserve(std::size_t bytes);
+
+  AnonymousMemory buffer_;
+  ChunkView view_;
+};
+
 struct OpenOptions {
   /// Verify every chunk CRC at open (one sequential pass).  Disable only
   /// for trusted files where open latency matters; corruption then
@@ -221,7 +242,18 @@ class ColumnarFleetView {
                                                      const OpenOptions& options = {});
 
   [[nodiscard]] std::size_t chunk_count() const noexcept;
+
+  /// Chunk `index`, decoded on first access and cached for the life of the
+  /// view (v3; v2 columns point into the file).  Thread-safe.  Throws
+  /// std::runtime_error on malformed column frames.
   [[nodiscard]] const ChunkView& chunk(std::size_t index) const;
+
+  /// Chunk `index` for a one-pass scan: the cached columns when the chunk
+  /// is already decoded (always for v2; for v3 after chunk(index)),
+  /// otherwise decoded into `scratch` without caching.  The result stays
+  /// valid until `scratch` is next used or destroyed.  Thread-safe for
+  /// distinct scratches; same decoder and errors as chunk().
+  [[nodiscard]] const ChunkView& scan_chunk(std::size_t index, ChunkScratch& scratch) const;
 
   [[nodiscard]] std::size_t drive_count() const noexcept;
   [[nodiscard]] std::size_t total_records() const noexcept;

@@ -2,8 +2,8 @@
 
 // SSDF2 v3 lightweight column codecs (docs/DATA_FORMAT.md §v3).
 //
-// Four encodings, no external dependencies, all operating on a column of
-// fixed-width little-endian integers widened to u64:
+// Four encodings, no external dependencies, all over a column of
+// fixed-width little-endian integers:
 //
 //   kRaw          — the v2 layout: n elements, sizeof(T) bytes each.
 //   kDeltaPack    — zigzag(v[i] - v[i-1]) (v[-1] = 0), block-bitpacked.
@@ -21,17 +21,22 @@
 // ceil(count * width / 8) bytes, bits packed LSB-first.  A width-0 block
 // is one byte for 128 zero values.
 //
-// The writer measures every applicable encoding and keeps the smallest
-// (encode_column); readers dispatch on the stored encoding id
-// (decode_column), bounds-check every read, and verify decoded values fit
-// the destination type — a corrupt payload raises std::runtime_error,
-// never undefined behavior (the chunk CRC catches corruption first in
-// the default configuration; these checks hold even with verification
-// disabled).
+// The writer computes the size every encoding would take and builds only
+// the smallest payload (encode_column; ties keep the order raw, delta,
+// bitpack, rle).  Readers dispatch on the stored encoding id and decode
+// straight into the typed column (decode_column): bitpacked values are
+// read one unaligned 64-bit load, shift and mask at a time by
+// width-specialized kernels (after Lemire & Boytsov, "Decoding billions of
+// integers per second through vectorization", SPE 2015), and the check
+// that every value fits the column type is fused into the same loop.
+// Every read is bounds-checked: a corrupt payload raises
+// std::runtime_error, never undefined behavior (the chunk CRC catches
+// corruption first in the default configuration; these checks hold even
+// with verification disabled).
 
+#include <concepts>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ssdfail::store {
@@ -52,21 +57,34 @@ struct EncodedColumn {
   std::vector<char> payload;
 };
 
-/// Encode `values` (elements already widened to u64; `elem_bytes` is the
-/// on-disk element size: 1, 2, or 4) with every applicable encoding and
-/// return the smallest result.  Signed columns (i32 day/swap_day) must be
-/// widened with sign extension; the codec is value-preserving either way.
+/// Encode `values` (elements widened to u64; `elem_bytes` is the on-disk
+/// element size, 1..8) with the smallest applicable encoding.  Signed
+/// columns (i32 day/swap_day) must be widened with sign extension; the
+/// codec is value-preserving either way.
 [[nodiscard]] EncodedColumn encode_column(std::span<const std::uint64_t> values,
                                           std::size_t elem_bytes);
 
-/// Decode `payload` into exactly `n` values.  Throws std::runtime_error
-/// on any structural defect: truncated payload, width > 64, run lengths
-/// not summing to n, or a decoded value outside the `elem_bytes`-sized
-/// destination (signed when `is_signed`, matching the widening convention
-/// of encode_column).  Trailing unread payload bytes are also an error.
-void decode_column(ColumnEncoding encoding, std::span<const char> payload,
-                   std::size_t n, std::size_t elem_bytes, bool is_signed,
-                   std::vector<std::uint64_t>& out);
+/// The element types a v3 column decodes into.
+template <typename T>
+concept ColumnElement = std::same_as<T, std::int32_t> || std::same_as<T, std::uint32_t> ||
+                        std::same_as<T, std::uint16_t> || std::same_as<T, std::uint8_t>;
+
+/// Decode `payload` into exactly `out.size()` values.  Throws
+/// std::runtime_error on any structural defect: truncated payload, width
+/// > 64, run lengths not summing to the count, trailing unread bytes, or a
+/// decoded value outside T (a signed T matches encode_column's
+/// sign-extending widening).  `out` holds unspecified values after a throw.
+template <ColumnElement T>
+void decode_column(ColumnEncoding encoding, std::span<const char> payload, std::span<T> out);
+
+extern template void decode_column<std::int32_t>(ColumnEncoding, std::span<const char>,
+                                                 std::span<std::int32_t>);
+extern template void decode_column<std::uint32_t>(ColumnEncoding, std::span<const char>,
+                                                  std::span<std::uint32_t>);
+extern template void decode_column<std::uint16_t>(ColumnEncoding, std::span<const char>,
+                                                  std::span<std::uint16_t>);
+extern template void decode_column<std::uint8_t>(ColumnEncoding, std::span<const char>,
+                                                 std::span<std::uint8_t>);
 
 /// Human-readable encoding name (bench/CLI reporting).
 [[nodiscard]] const char* encoding_name(ColumnEncoding e) noexcept;

@@ -1,5 +1,6 @@
 #include "store/mmap_file.hpp"
 
+#include <new>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -61,6 +62,52 @@ std::optional<MappedFile> MappedFile::map(const std::string& path) {
   (void)path;
   return std::nullopt;
 #endif
+}
+
+AnonymousMemory::AnonymousMemory(std::size_t bytes) : size_(bytes) {
+  if (bytes == 0) return;
+#if SSDFAIL_HAS_MMAP
+  if (bytes >= kMinMappedBytes) {
+    void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::bad_alloc();
+#if defined(MADV_HUGEPAGE)
+    // Advisory: huge pages cut first-touch faults and TLB misses when the
+    // buffer is filled and scanned end to end.  Failure changes nothing.
+    (void)::madvise(base, bytes, MADV_HUGEPAGE);
+#endif
+    data_ = static_cast<std::byte*>(base);
+    mapped_ = true;
+    return;
+  }
+#endif
+  data_ = new std::byte[bytes];
+}
+
+AnonymousMemory::~AnonymousMemory() {
+  if (data_ == nullptr) return;
+#if SSDFAIL_HAS_MMAP
+  if (mapped_) {
+    ::munmap(data_, size_);
+    return;
+  }
+#endif
+  delete[] data_;
+}
+
+AnonymousMemory::AnonymousMemory(AnonymousMemory&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      mapped_(std::exchange(other.mapped_, false)) {}
+
+AnonymousMemory& AnonymousMemory::operator=(AnonymousMemory&& other) noexcept {
+  if (this != &other) {
+    AnonymousMemory tmp(std::move(other));
+    std::swap(data_, tmp.data_);
+    std::swap(size_, tmp.size_);
+    std::swap(mapped_, tmp.mapped_);
+  }
+  return *this;
 }
 
 }  // namespace ssdfail::store

@@ -1,6 +1,6 @@
 // TelemetryDaemon tests: graceful drain accounting, WAL recovery
-// bit-identity, retire-through-the-WAL, degraded modes, backpressure
-// shedding, and the watchdog.
+// bit-identity, batch-boundary independence, retire-through-the-WAL,
+// degraded modes, backpressure shedding, and the watchdog.
 
 #include "daemon/daemon.hpp"
 
@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "daemon_test_util.hpp"
+#include "robustness/fault_injector.hpp"
 
 namespace ssdfail::daemon {
 namespace {
@@ -137,6 +138,38 @@ TEST(TelemetryDaemon, ReplayIsIdempotent) {
       EXPECT_EQ(recovered.state_digest(), first);
     }
   }
+}
+
+TEST(TelemetryDaemon, HealthIsIndependentOfBatchBoundaries) {
+  // Quarantined and scored records of one drive share appender batches;
+  // health must see them in record order however the stream is batched.
+  // A dense fault rate puts several quarantines of a drive in every batch.
+  robustness::FaultInjector injector(2019, robustness::FaultRates::uniform(0.3));
+  const auto stream = injector.corrupt(make_stream(8, 60)).observations;
+  const auto run = [&stream](std::size_t max_batch) {
+    obs::MetricsRegistry registry;
+    auto cfg = base_config("", &registry);
+    cfg.shards = 1;
+    cfg.ring_capacity = 1024;  // holds the whole stream
+    cfg.max_batch = max_batch;
+    // Hold the appender until the stream is queued, so batches come full.
+    std::atomic<bool> release{false};
+    cfg.appender_hook = [&release](std::uint32_t) {
+      while (!release.load(std::memory_order_acquire))
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
+    daemon.start();
+    std::size_t accepted = 0;
+    for (const auto& obs : stream)
+      if (daemon.push(obs) == PushResult::kAccepted) ++accepted;
+    release.store(true, std::memory_order_release);
+    daemon.stop();
+    EXPECT_EQ(accepted, stream.size());
+    EXPECT_GT(daemon.stats().quarantined, 0u);
+    return daemon.state_digest();
+  };
+  EXPECT_EQ(run(256), run(1));
 }
 
 TEST(TelemetryDaemon, RetireTravelsThroughTheWal) {

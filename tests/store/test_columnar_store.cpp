@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -53,9 +54,10 @@ trace::FleetTrace tiny_fleet() {
   return fleet;
 }
 
-std::vector<char> encode(const trace::FleetTrace& fleet, std::uint32_t chunk_drives) {
+std::vector<char> encode(const trace::FleetTrace& fleet, std::uint32_t chunk_drives,
+                         std::uint32_t version = kColumnarVersion) {
   std::ostringstream out(std::ios::binary);
-  write_columnar(out, fleet, {chunk_drives});
+  write_columnar(out, fleet, {chunk_drives, version});
   const std::string s = out.str();
   return {s.begin(), s.end()};
 }
@@ -245,6 +247,69 @@ TEST(ColumnarStore, ChunksReadCounterAdvances) {
   const std::uint64_t before = counter.value();
   const auto view = ColumnarFleetView::from_buffer(encode(fleet, 2));
   EXPECT_EQ(counter.value() - before, view.chunk_count());
+}
+
+/// Every record and swap of a chunk, gathered row by row.
+std::vector<trace::DailyRecord> rows_of(const ChunkView& chunk) {
+  std::vector<trace::DailyRecord> rows;
+  for (std::size_t r = 0; r < chunk.day.size(); ++r) rows.push_back(chunk.record(r));
+  return rows;
+}
+
+TEST(ColumnarStore, ScanChunkMatchesCachedChunkAndRecyclesScratch) {
+  const trace::FleetTrace fleet = simulated_fleet();
+  auto& decodes = obs::MetricsRegistry::global().counter("store_chunks_read_total");
+  ChunkScratch scratch;  // one target for every chunk of every view below
+  // 64 drives per chunk decode to several MiB (a mapped buffer); 5 to a
+  // small heap block.
+  for (const std::uint32_t chunk_drives : {64u, 5u}) {
+    const auto v2 = ColumnarFleetView::from_buffer(encode(fleet, chunk_drives));
+    const auto v3 =
+        ColumnarFleetView::from_buffer(encode(fleet, chunk_drives, kColumnarVersionV3));
+    ASSERT_EQ(v3.chunk_count(), v2.chunk_count());
+    for (std::size_t c = 0; c < v3.chunk_count(); ++c) {
+      const std::uint64_t before = decodes.value();
+      const ChunkView& scanned = v3.scan_chunk(c, scratch);
+      EXPECT_EQ(decodes.value() - before, 1u);
+      const std::vector<trace::DailyRecord> rows = rows_of(scanned);
+      const std::vector<std::int32_t> swaps(scanned.swap_days.begin(),
+                                            scanned.swap_days.end());
+      EXPECT_EQ(scanned.drives.size(), v2.chunk(c).drives.size());
+      EXPECT_EQ(rows, rows_of(v2.chunk(c))) << "chunk " << c;
+      EXPECT_TRUE(std::equal(swaps.begin(), swaps.end(), v2.chunk(c).swap_days.begin(),
+                             v2.chunk(c).swap_days.end()));
+
+      // Once chunk() has cached a chunk, scans reuse the cache.
+      const ChunkView& cached = v3.chunk(c);
+      EXPECT_EQ(rows, rows_of(cached)) << "chunk " << c;
+      const std::uint64_t cached_decodes = decodes.value();
+      EXPECT_EQ(&v3.scan_chunk(c, scratch), &cached);
+      EXPECT_EQ(decodes.value(), cached_decodes);
+    }
+    // v2 columns point into the file: scanning never decodes.
+    const std::uint64_t before = decodes.value();
+    EXPECT_EQ(&v2.scan_chunk(0, scratch), &v2.chunk(0));
+    EXPECT_EQ(decodes.value(), before);
+  }
+}
+
+TEST(AnonymousMemory, HeapAndMappedBlocksAreWritableAndMove) {
+  for (const std::size_t bytes :
+       {std::size_t{0}, std::size_t{100}, 3 * AnonymousMemory::kMinMappedBytes + 5}) {
+    AnonymousMemory block(bytes);
+    ASSERT_EQ(block.size(), bytes);
+    EXPECT_EQ(block.data() == nullptr, bytes == 0);
+    for (std::size_t i = 0; i < bytes; ++i) block.data()[i] = static_cast<std::byte>(i * 7);
+    std::byte* const data = block.data();
+    AnonymousMemory moved(std::move(block));
+    EXPECT_EQ(moved.data(), data);
+    EXPECT_EQ(block.data(), nullptr);  // NOLINT(bugprone-use-after-move): pinned state
+    AnonymousMemory assigned;
+    assigned = std::move(moved);
+    ASSERT_EQ(assigned.size(), bytes);
+    for (std::size_t i = 0; i < bytes; ++i)
+      ASSERT_EQ(assigned.data()[i], static_cast<std::byte>(i * 7)) << "byte " << i;
+  }
 }
 
 TEST(Crc32, MatchesKnownVectorAndChains) {

@@ -16,9 +16,15 @@
 //      redundancy, so a flipped payload byte CAN parse as different data;
 //      the guarantee there is weaker and explicit: parse or clean throw,
 //      never undefined behavior.
+//   4. Decoders without the CRC net: v3 images opened with chunk CRC
+//      verification off, truncated and bit-flipped, reach the column
+//      decoders.  Both decode targets — the cached chunk(c) and the
+//      recycled scratch of scan_chunk (the dataset build's path) — must
+//      agree: a clean throw from both, or identical columns from both.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -160,6 +166,147 @@ TEST(BinaryIoFuzz, EveryColumnarBitFlipIsDetected) {
       bad[byte] = good[byte];
     }
   }
+}
+
+template <typename T>
+std::vector<T> copy_of(std::span<const T> column) {
+  return {column.begin(), column.end()};
+}
+
+/// Every column of a chunk, copied out of whichever buffer backs it.
+struct ChunkColumns {
+  std::size_t drives = 0;
+  std::vector<std::int32_t> day;
+  std::vector<std::uint32_t> reads, writes, erases, pe_cycles, bad_blocks;
+  std::vector<std::uint16_t> factory_bad_blocks;
+  std::vector<std::uint8_t> flags;
+  std::vector<std::vector<std::uint32_t>> errors;
+  std::vector<std::uint32_t> reallocated_sectors, seek_errors, media_wear, throttle_events;
+  std::vector<std::int32_t> swap_days;
+
+  explicit ChunkColumns(const store::ChunkView& v)
+      : drives(v.drives.size()),
+        day(copy_of(v.day)),
+        reads(copy_of(v.reads)),
+        writes(copy_of(v.writes)),
+        erases(copy_of(v.erases)),
+        pe_cycles(copy_of(v.pe_cycles)),
+        bad_blocks(copy_of(v.bad_blocks)),
+        factory_bad_blocks(copy_of(v.factory_bad_blocks)),
+        flags(copy_of(v.flags)),
+        reallocated_sectors(copy_of(v.reallocated_sectors)),
+        seek_errors(copy_of(v.seek_errors)),
+        media_wear(copy_of(v.media_wear)),
+        throttle_events(copy_of(v.throttle_events)),
+        swap_days(copy_of(v.swap_days)) {
+    for (const auto& e : v.errors) errors.push_back(copy_of(e));
+  }
+  bool operator==(const ChunkColumns&) const = default;
+};
+
+enum class Outcome { kRejectedAtOpen, kRejectedAtDecode, kAccepted };
+
+/// Open `image` with chunk CRCs off and decode every chunk through the
+/// scan scratch first (so it really decodes), then through the cache.
+Outcome decode_both_targets(const std::string& image, store::ChunkScratch& scratch,
+                            const std::string& what) {
+  std::optional<store::ColumnarFleetView> view;
+  try {
+    store::OpenOptions options;
+    options.verify_crc = false;
+    view = store::ColumnarFleetView::from_buffer(std::vector<char>(image.begin(), image.end()),
+                                                 options);
+  } catch (const std::runtime_error&) {
+    return Outcome::kRejectedAtOpen;
+  }
+  Outcome outcome = Outcome::kAccepted;
+  for (std::size_t c = 0; c < view->chunk_count(); ++c) {
+    std::optional<ChunkColumns> scanned;
+    std::optional<ChunkColumns> cached;
+    try {
+      scanned.emplace(view->scan_chunk(c, scratch));
+    } catch (const std::runtime_error&) {
+    }
+    try {
+      cached.emplace(view->chunk(c));
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(scanned.has_value(), cached.has_value())
+        << what << " chunk " << c << ": only one decode target rejected it";
+    if (scanned && cached) {
+      EXPECT_TRUE(*scanned == *cached) << what << " chunk " << c << ": targets disagree";
+    } else {
+      outcome = Outcome::kRejectedAtDecode;
+    }
+  }
+  return outcome;
+}
+
+/// Columns shaped like real telemetry, so v3 frames use every codec
+/// (delta for cumulative counters, bitpack for small daily counters, RLE
+/// for flags) and span several 128-value blocks per frame.
+FleetTrace shaped_fleet(stats::Rng& rng, std::size_t drives, std::size_t records) {
+  FleetTrace fleet;
+  for (std::size_t d = 0; d < drives; ++d) {
+    DriveHistory drive;
+    drive.model = kAllModels[d % kNumModels];
+    drive.drive_index = static_cast<std::uint32_t>(d);
+    DailyRecord rec;
+    for (std::size_t r = 0; r < records; ++r) {
+      rec.day = static_cast<std::int32_t>(r);
+      rec.reads = rng.next_u32() % 5000;
+      rec.writes = rng.next_u32() % 3000;
+      rec.erases = rng.next_u32() % 40;
+      rec.pe_cycles += rng.next_u32() % 3;
+      rec.bad_blocks += rng.uniform() < 0.05 ? 1 : 0;
+      rec.factory_bad_blocks = 17;
+      rec.dead = r + 1 == records && d % 2 == 0;
+      rec.errors[r % kNumErrorTypes] = rng.next_u32() % 4;
+      rec.media_wear = static_cast<std::uint32_t>(r / 10);
+      drive.records.push_back(rec);
+    }
+    drive.swaps.push_back({static_cast<std::int32_t>(records)});
+    fleet.drives.push_back(std::move(drive));
+  }
+  return fleet;
+}
+
+/// Truncate `good` to every length, then flip bits — every bit of every
+/// byte, or (sampled) one seeded bit per byte — with chunk CRCs off, and
+/// hold both decode targets to one outcome.  The flips that reach and fail
+/// a decoder must exist, or the sweep never tested one.
+void sweep_unverified(const std::string& good, bool every_bit) {
+  store::ChunkScratch scratch;  // recycled across every chunk and image
+  ASSERT_EQ(decode_both_targets(good, scratch, "intact"), Outcome::kAccepted);
+
+  for (std::size_t len = 0; len < good.size(); ++len)
+    EXPECT_NE(decode_both_targets(good.substr(0, len), scratch,
+                                  "prefix " + std::to_string(len)),
+              Outcome::kAccepted)
+        << "prefix of " << len << " bytes was accepted";
+
+  stats::Rng rng(5);
+  std::size_t rejected_by_decoder = 0;
+  std::string bad = good;
+  for (std::size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      if (!every_bit && static_cast<std::uint64_t>(bit) != rng.uniform_index(8)) continue;
+      bad[byte] = static_cast<char>(good[byte] ^ (1 << bit));
+      if (decode_both_targets(bad, scratch,
+                              "bit " + std::to_string(bit) + " of byte " +
+                                  std::to_string(byte)) == Outcome::kRejectedAtDecode)
+        ++rejected_by_decoder;
+      if (::testing::Test::HasFailure()) return;
+    }
+    bad[byte] = good[byte];
+  }
+  EXPECT_GT(rejected_by_decoder, 0u);
+}
+
+TEST(BinaryIoFuzz, UnverifiedV3DecodesAgreeOrRejectOnBothTargets) {
+  sweep_unverified(encode(sweep_fleet(), Version::kV3), /*every_bit=*/true);
+  stats::Rng rng(31);
+  sweep_unverified(encode(shaped_fleet(rng, 4, 300), Version::kV3), /*every_bit=*/false);
 }
 
 TEST(BinaryIoFuzz, EmptyFleetIsAFooterValidStoreInBothColumnarVersions) {
