@@ -1,16 +1,16 @@
 // Cost of the observability layer itself (google-benchmark).
 //
-// The acceptance bar for src/obs/: the fully instrumented FleetMonitor
-// batched scoring path (spans + counters + latency histogram live) must
-// stay within 5% of the identical run with obs::set_enabled(false), and
-// the disabled primitives must be near-no-ops (a relaxed load + branch).
+// The acceptance bar for src/obs/: the fully instrumented serving path
+// (daemon, sanitizer and health counters and gauges live) must stay within
+// 5% of the identical run with obs::set_enabled(false), and the disabled
+// primitives must be near-no-ops (a relaxed load + branch).
 //
-//   BM_MonitorBatchScoring/obs:<0|1>  the macro check: one fleet-day per
-//                                     iteration through an 8-shard monitor
-//                                     on an 8-worker pool; obs:1 is the
-//                                     instrumented path, obs:0 the same
-//                                     code with the global switch off.
-//                                     Compare real_time of the two rows.
+//   BM_DaemonBatchScoring/obs:<0|1>   the macro check: one fleet-day per
+//                                     iteration pushed through an 8-shard
+//                                     daemon (WAL off), then drain();
+//                                     obs:1 is the instrumented path, obs:0
+//                                     the same code with the global switch
+//                                     off.  Compare real_time of the rows.
 //   BM_CounterInc/obs:<0|1>           one striped-counter increment
 //   BM_HistogramObserve/obs:<0|1>     one fixed-bucket observation
 //   BM_SpanScope/obs:<0|1>            one enter/exit of a scoped span
@@ -28,13 +28,12 @@
 
 #include "bench_metrics.hpp"
 #include "core/dataset_builder.hpp"
-#include "core/online_monitor.hpp"
+#include "daemon/daemon.hpp"
 #include "ml/downsample.hpp"
 #include "ml/model_zoo.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sim/fleet_simulator.hpp"
 
 namespace {
@@ -60,7 +59,7 @@ const trace::FleetTrace& small_fleet() {
   return fleet;
 }
 
-std::shared_ptr<const ml::Classifier> monitor_model() {
+std::shared_ptr<const ml::Classifier> serving_model() {
   static const std::shared_ptr<const ml::Classifier> model = [] {
     core::DatasetBuildOptions opts;
     opts.lookahead_days = 1;
@@ -73,32 +72,48 @@ std::shared_ptr<const ml::Classifier> monitor_model() {
   return model;
 }
 
-/// Mirror of bench_perf_components' BM_FleetMonitorScoring at 8 shards,
-/// parameterized on the global obs switch instead of the shard count.
-void BM_MonitorBatchScoring(benchmark::State& state) {
+/// The serving path at 8 shards, parameterized on the global obs switch.
+/// Each iteration is one fleet-day: every drive reports once, and the
+/// iteration ends when drain() sees the day processed.  The fleet is the
+/// small fleet replicated kCopies times under fresh drive indices, so
+/// scoring, not the appenders' idle-poll wake-up, dominates a day.
+void BM_DaemonBatchScoring(benchmark::State& state) {
+  constexpr std::uint32_t kCopies = 16;
   const bool instrumented = state.range(0) == 1;
-  static parallel::ThreadPool pool(8);
-  core::FleetMonitor monitor(monitor_model(), 0.9, 8);
   std::vector<core::FleetObservation> batch;
-  for (const auto& d : small_fleet().drives)
-    if (!d.records.empty())
-      batch.push_back({d.model, d.drive_index, 0, d.records.front()});
+  for (std::uint32_t copy = 0; copy < kCopies; ++copy)
+    for (const auto& d : small_fleet().drives)
+      if (!d.records.empty())
+        batch.push_back({d.model, d.drive_index + copy * (1u << 20), 0,
+                         d.records.front()});
+
+  obs::MetricsRegistry registry;  // outlives the daemon's metric references
+  daemon::DaemonConfig cfg;
+  cfg.shards = 8;
+  cfg.ring_capacity = batch.size();  // a whole day fits: pushes never block
+  cfg.threshold = 0.9;
+  cfg.registry = &registry;
+  daemon::TelemetryDaemon service(serving_model(), cfg);
+  service.start();
 
   const ScopedObsEnabled guard(instrumented);
   std::int32_t day = 0;
   std::uint64_t scored = 0;
   for (auto _ : state) {
-    for (auto& obs : batch) obs.record.day = day;
-    const auto assessments = monitor.observe_batch(batch, pool);
-    benchmark::DoNotOptimize(assessments.data());
+    for (auto& obs : batch) {
+      obs.record.day = day;
+      (void)service.push(obs);
+    }
+    service.drain();
     ++day;
     scored += batch.size();
   }
+  service.stop();
   state.SetItemsProcessed(static_cast<std::int64_t>(scored));
   state.counters["records/s"] =
       benchmark::Counter(static_cast<double>(scored), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_MonitorBatchScoring)->ArgName("obs")->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_DaemonBatchScoring)->ArgName("obs")->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_CounterInc(benchmark::State& state) {
   static obs::Counter& counter = obs::MetricsRegistry::global().counter(

@@ -1,27 +1,25 @@
 // Performance microbenchmarks (google-benchmark) for the heavy components:
 // simulation throughput, timeline derivation, feature extraction,
 // rank-correlation, forest training/prediction, and AUC computation.
+// The serving path (sanitize, features, score, health) is measured through
+// the daemon by bench_daemon_ingest's BM_DaemonIngest.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 
 #include "bench_metrics.hpp"
 #include "trace/binary_io.hpp"
 #include "core/characterization.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/failure_timeline.hpp"
-#include "core/online_monitor.hpp"
 #include "ml/downsample.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/metrics.hpp"
-#include "ml/model_zoo.hpp"
 #include "ml/random_forest.hpp"
 #include "parallel/thread_pool.hpp"
-#include "robustness/fault_injector.hpp"
 #include "sim/fleet_simulator.hpp"
 #include "stats/spearman.hpp"
 
@@ -250,93 +248,6 @@ void BM_ForestScoringSpeedup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestScoringSpeedup);
-
-std::shared_ptr<const ml::Classifier> monitor_model() {
-  static const std::shared_ptr<const ml::Classifier> model = [] {
-    auto forest = ml::make_model(ml::ModelKind::kRandomForest);
-    forest->fit(ml::downsample_negatives(bench_dataset(), 1.0, 1));
-    return std::shared_ptr<const ml::Classifier>(std::move(forest));
-  }();
-  return model;
-}
-
-// Fleet-scoring service throughput.  Arg(0) = per-record observe() path
-// (the pre-sharding baseline); Arg(k>0) = batched path with k shards on a
-// fixed 8-worker pool, so the shard count — not the worker count — is the
-// scaling knob.  Each iteration scores one fleet-day.  On multi-core
-// hardware the 8-shard batched path is expected to show >= 2x the
-// throughput of 1 shard (shards score in parallel).
-void BM_FleetMonitorScoring(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  static parallel::ThreadPool pool(8);
-  core::FleetMonitor monitor(monitor_model(), 0.9, std::max<std::size_t>(shards, 1));
-  std::vector<core::FleetObservation> batch;
-  for (const auto& d : small_fleet().drives)
-    if (!d.records.empty())
-      batch.push_back({d.model, d.drive_index, 0, d.records.front()});
-  std::int32_t day = 0;
-  std::uint64_t scored = 0;
-  const bench::RegistryDelta obs_delta;
-  for (auto _ : state) {
-    for (auto& obs : batch) obs.record.day = day;
-    if (shards == 0) {
-      for (const auto& obs : batch) {
-        const auto assessment =
-            monitor.observe(obs.drive_model, obs.drive_index, obs.deploy_day, obs.record);
-        benchmark::DoNotOptimize(assessment.risk);
-      }
-    } else {
-      const auto assessments = monitor.observe_batch(batch, pool);
-      benchmark::DoNotOptimize(assessments.data());
-    }
-    ++day;
-    scored += batch.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(scored));
-  state.counters["records/s"] =
-      benchmark::Counter(static_cast<double>(scored), benchmark::Counter::kIsRate);
-  // monitor_records_scored_total per iteration must equal the batch size —
-  // the monitor's own books crosschecking the harness's.
-  obs_delta.export_into(state, "monitor_");
-}
-BENCHMARK(BM_FleetMonitorScoring)->Arg(0)->Arg(1)->Arg(2)->Arg(8);
-
-// Sanitizer overhead under dirty data.  Arg = per-record corruption
-// percentage fed through the fault injector (0 = clean baseline, so the
-// delta vs Arg(0) is the cost of scoring through the sanitize-repair-
-// quarantine path rather than around it).  Batched path, 4 shards.
-void BM_CorruptStreamScoring(benchmark::State& state) {
-  const auto corruption_pct = static_cast<double>(state.range(0));
-  static parallel::ThreadPool pool(8);
-  core::FleetMonitor monitor(monitor_model(), 0.9, 4);
-  std::vector<core::FleetObservation> batch;
-  for (const auto& d : small_fleet().drives)
-    if (!d.records.empty())
-      batch.push_back({d.model, d.drive_index, 0, d.records.front()});
-  robustness::FaultInjector injector(
-      99, robustness::FaultRates::uniform(corruption_pct / 100.0));
-  std::int32_t day = 0;
-  std::uint64_t emitted = 0;
-  const bench::RegistryDelta obs_delta;
-  for (auto _ : state) {
-    state.PauseTiming();  // corruption is the harness, not the measurement
-    for (auto& obs : batch) obs.record.day = day;
-    const auto corrupted = injector.corrupt(batch);
-    state.ResumeTiming();
-    const auto assessments = monitor.observe_batch(corrupted.observations, pool);
-    benchmark::DoNotOptimize(assessments.data());
-    ++day;
-    emitted += corrupted.observations.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(emitted));
-  state.counters["records/s"] =
-      benchmark::Counter(static_cast<double>(emitted), benchmark::Counter::kIsRate);
-  // Repair/quarantine volume per iteration is what the corruption knob
-  // actually bought, alongside the timing delta.
-  obs_delta.export_into(state, "sanitizer_");
-  obs_delta.export_into(state, "monitor_");
-}
-BENCHMARK(BM_CorruptStreamScoring)->Arg(0)->Arg(1)->Arg(10)->Arg(30);
 
 void BM_RocAuc(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

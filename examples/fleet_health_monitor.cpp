@@ -3,17 +3,19 @@
 // Train a failure predictor on historical fleet data, pick an operating
 // threshold under a false-alarm budget, then run it as a daily monitor
 // over a *new* fleet: every morning, score yesterday's telemetry for every
-// drive and emit replacement tickets.  Finally, audit how many real
-// failures the policy caught and what the early-replacement cost was.
+// drive and emit replacement tickets.  Each drive's telemetry streams
+// through core::DriveFeatureCursor, the same per-drive feature state the
+// telemetry daemon keeps.  Finally, audit how many real failures the
+// policy caught and what the early-replacement cost was.
 //
 //   ./examples/fleet_health_monitor
 
 #include <cstdio>
-#include <map>
+#include <vector>
 
 #include "core/dataset_builder.hpp"
 #include "core/failure_timeline.hpp"
-#include "core/online_monitor.hpp"
+#include "core/features.hpp"
 #include "core/policy.hpp"
 #include "core/prediction.hpp"
 #include "ml/downsample.hpp"
@@ -60,19 +62,28 @@ int main() {
   std::uint64_t caught = 0;
   std::uint64_t missed = 0;
   std::uint64_t scored_days = 0;
+  std::vector<float> row(core::FeatureExtractor::count());
 
   for (std::size_t i = 0; i < live_fleet.drive_count(); ++i) {
     const trace::DriveHistory drive = live_fleet.simulate(i);
     const core::DriveTimeline timeline = core::derive_timeline(drive);
 
-    core::OnlineDriveMonitor monitor(*forest, threshold, drive.model, drive.deploy_day);
+    // One feature row per day, in day order.  Rows score independently,
+    // so one predict_proba call per drive equals one call per morning.
+    core::DriveFeatureCursor cursor(drive.model, drive.deploy_day);
+    ml::Matrix days;
+    for (const auto& rec : drive.records) {
+      cursor.advance_and_extract(rec, row);
+      days.push_row(row);
+    }
+    const std::vector<float> risk = forest->predict_proba(days);
     bool ticketed = false;
     std::int32_t ticket_day = -1;
-    for (const auto& rec : drive.records) {
-      const core::RiskAssessment assessment = monitor.observe(rec);
+    for (std::size_t r = 0; r < drive.records.size(); ++r) {
+      const trace::DailyRecord& rec = drive.records[r];
       if (core::in_failed_state(timeline, rec.day)) continue;
       ++scored_days;
-      if (!ticketed && assessment.alert) {
+      if (!ticketed && risk[r] >= threshold) {
         ticketed = true;
         ticket_day = rec.day;
         ++tickets;

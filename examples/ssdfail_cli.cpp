@@ -21,11 +21,11 @@
 // trains the
 // paper's random forest and reports cross-validated AUC.  `train` fits a
 // model once and persists it (ml/serialize); `serve` loads it and replays
-// a fleet as a day-ordered stream through the sharded FleetMonitor,
-// printing the metrics snapshot — the always-on scoring service in
-// miniature.  `train` and `serve` accept `--fleet FILE` to use a recorded
-// binary fleet instead of simulating one; a v2 file feeds `train` through
-// the zero-copy chunk-parallel dataset build (store/columnar.hpp).
+// a fleet day by day through the telemetry daemon (WAL off), printing the
+// daemon's counters — the always-on scoring service in miniature.  `train`
+// and `serve` accept `--fleet FILE` to use a recorded binary fleet instead
+// of simulating one; a v2 file feeds `train` through the zero-copy
+// chunk-parallel dataset build (store/columnar.hpp).
 //
 // `daemon` runs the crash-safe streaming service (src/daemon): multi-
 // threaded producers push the fleet into per-shard ingest rings, appender
@@ -41,7 +41,7 @@
 // Prometheus text (FILE) plus JSON lines (FILE.jsonl) on exit; `serve`
 // additionally accepts `--metrics-stream FILE` to append per-replay-day
 // JSON delta lines.  `metrics` runs a built-in end-to-end smoke (simulate
-// -> train -> replay with chaos -> trace round-trip) and prints the
+// -> train -> daemon replay with chaos -> trace round-trip) and prints the
 // Prometheus exposition — the target of the CI metrics-lint step.
 
 #include <algorithm>
@@ -67,7 +67,6 @@
 #include "daemon/compactor.hpp"
 #include "daemon/daemon.hpp"
 #include "core/fleet_analysis.hpp"
-#include "core/online_monitor.hpp"
 #include "core/prediction.hpp"
 #include "io/table.hpp"
 #include "obs/exposition.hpp"
@@ -77,7 +76,6 @@
 #include "online/drift.hpp"
 #include "online/learner.hpp"
 #include "ml/downsample.hpp"
-#include "ml/flat_forest.hpp"
 #include "ml/model_zoo.hpp"
 #include "ml/serialize.hpp"
 #include "parallel/thread_pool.hpp"
@@ -144,7 +142,6 @@ int usage() {
       "                        [--lookahead N] [--threads K] [--metrics-out FILE]\n"
       "  ssdfail_cli serve     --model-file MODEL.bin [--drives N | --fleet FILE]\n"
       "                        [--seed S] [--threshold T] [--shards K]\n"
-      "                        [--engine flat|walker] [--sequential]\n"
       "                        [--chaos PCT] [--metrics-out FILE]\n"
       "                        [--metrics-stream FILE]\n"
       "  ssdfail_cli daemon    --wal-dir DIR [--model-file MODEL.bin]\n"
@@ -598,7 +595,7 @@ int cmd_train(const Args& args) {
 /// instead of throwing, so `serve` can degrade rather than die.
 std::shared_ptr<const ml::Classifier> try_load_model(const std::string& path) {
   try {
-    // Compiles tree ensembles for the selected inference engine on load.
+    // Tree ensembles come back compiled to the flat engine.
     return ml::load_serving_classifier_file(path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "serve: cannot load %s: %s\n", path.c_str(), e.what());
@@ -624,32 +621,71 @@ std::shared_ptr<const ml::Classifier> fallback_model(std::uint64_t seed) {
   return std::shared_ptr<const ml::Classifier>(std::move(baseline));
 }
 
+/// Print DaemonStats plus the sanitizer's per-kind registry counters (the
+/// `serve` report).
+void print_serve_report(const daemon::DaemonStats& stats, std::size_t shards,
+                        bool degraded) {
+  const double alert_pct =
+      stats.scored > 0
+          ? 100.0 * static_cast<double>(stats.alerts) / static_cast<double>(stats.scored)
+          : 0.0;
+  std::printf("serve metrics (%zu shard%s)%s\n", shards, shards == 1 ? "" : "s",
+              degraded ? "  [DEGRADED: fallback model]" : "");
+  std::printf("  records ingested    %llu (shed %llu)\n",
+              static_cast<unsigned long long>(stats.ingested),
+              static_cast<unsigned long long>(stats.shed));
+  std::printf("  records scored      %llu\n",
+              static_cast<unsigned long long>(stats.scored));
+  std::printf("  alerts raised       %llu (%.2f%%)\n",
+              static_cast<unsigned long long>(stats.alerts), alert_pct);
+  std::printf("  records quarantined %llu (duplicates dropped %llu)\n",
+              static_cast<unsigned long long>(stats.quarantined),
+              static_cast<unsigned long long>(stats.duplicates_dropped));
+  std::printf("  non-finite scores   %llu (clamped to 1.0)\n",
+              static_cast<unsigned long long>(stats.non_finite_scores));
+  std::printf("  drives tracked      %zu\n", stats.drives_tracked);
+  std::printf("  health              %llu healthy, %llu ramping, %llu alert, "
+              "%llu swapped\n",
+              static_cast<unsigned long long>(stats.health_counts[0]),
+              static_cast<unsigned long long>(stats.health_counts[1]),
+              static_cast<unsigned long long>(stats.health_counts[2]),
+              static_cast<unsigned long long>(stats.health_counts[3]));
+  // Per-kind sanitizer breakdown, printed only for kinds that occurred.
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  for (trace::ViolationKind kind : trace::kAllViolationKinds) {
+    const obs::Labels labels{{"kind", std::string(trace::violation_slug(kind))}};
+    const std::uint64_t repaired =
+        reg.counter("sanitizer_repaired_total", labels).value();
+    const std::uint64_t quarantined =
+        reg.counter("sanitizer_quarantined_total", labels).value();
+    if (repaired == 0 && quarantined == 0) continue;
+    std::printf("    %-28s repaired %llu  quarantined %llu\n",
+                std::string(trace::violation_name(kind)).c_str(),
+                static_cast<unsigned long long>(repaired),
+                static_cast<unsigned long long>(quarantined));
+  }
+}
+
 int cmd_serve(const Args& args) {
   const std::string model_path = args.get("model-file", "");
   if (model_path.empty()) return usage();
 
-  const std::string engine_name =
-      args.get("engine", std::string(ml::inference_engine_name(ml::inference_engine())));
-  const auto engine = ml::parse_inference_engine(engine_name);
-  if (!engine) {
-    std::fprintf(stderr, "serve: unknown engine '%s' (flat|walker)\n",
-                 engine_name.c_str());
-    return usage();
-  }
-  ml::set_inference_engine(*engine);
-
   sim::FleetConfig cfg = config_from(args);
   cfg.drives_per_model = static_cast<std::uint32_t>(args.get_long("drives", 200));
 
+  // Mirrors the degraded flag into the registry so an operator sees the
+  // fallback from a scrape alone.
+  obs::Gauge& degraded_gauge = obs::MetricsRegistry::global().gauge(
+      "serve_degraded", {}, "1 while serve scores on the fallback threshold baseline");
   std::shared_ptr<const ml::Classifier> model = try_load_model(model_path);
   bool degraded = model == nullptr;
   if (degraded) {
     std::fprintf(stderr, "serve: DEGRADED — scoring on the threshold baseline\n");
     model = fallback_model(cfg.seed);
   } else {
-    std::printf("loaded %s from %s (engine %s)\n", model->name().c_str(),
-                model_path.c_str(), engine_name.c_str());
+    std::printf("loaded %s from %s\n", model->name().c_str(), model_path.c_str());
   }
+  degraded_gauge.set(degraded ? 1.0 : 0.0);
 
   trace::FleetTrace fleet;
   const std::string fleet_path = args.get("fleet", "");
@@ -670,10 +706,14 @@ int cmd_serve(const Args& args) {
     fleet = sim::FleetSimulator(cfg).generate_all();
   }
 
-  const double threshold = std::strtod(args.get("threshold", "0.9").c_str(), nullptr);
-  const auto shards = static_cast<std::size_t>(args.get_long("shards", 8));
-  core::FleetMonitor monitor(model, threshold, shards);
-  monitor.set_degraded(degraded);
+  // The daemon without a WAL: serve replays a recorded fleet, so there is
+  // nothing to recover.  Producers wait for ring space rather than shed.
+  daemon::DaemonConfig dcfg;
+  dcfg.threshold = std::strtod(args.get("threshold", "0.9").c_str(), nullptr);
+  dcfg.shards = static_cast<std::size_t>(args.get_long("shards", 8));
+  dcfg.block_timeout = std::chrono::minutes(1);
+  daemon::TelemetryDaemon service(model, dcfg);
+  service.start();
 
   // Optional per-replay-day metric stream: one JSON line per changed
   // sample, diffed by a manually ticked Snapshotter (the replay day is the
@@ -714,7 +754,6 @@ int cmd_serve(const Args& args) {
   }
   std::int32_t next_retry_day = first_day + backoff_days;
   std::vector<std::size_t> cursor(fleet.drives.size(), 0);
-  const bool sequential = args.flag("sequential");
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<core::FleetObservation> day_batch;
   for (std::int32_t day = first_day; day <= last_day; ++day) {
@@ -722,10 +761,9 @@ int cmd_serve(const Args& args) {
       if (auto reloaded = try_load_model(model_path)) {
         std::printf("serve: model reload succeeded on day %d — leaving degraded mode\n",
                     day);
-        model = std::move(reloaded);
-        monitor.set_model(model);
+        service.set_model(std::move(reloaded));
         degraded = false;
-        monitor.set_degraded(false);
+        degraded_gauge.set(0.0);
       } else {
         backoff_days = std::min(backoff_days * 2, kMaxBackoffDays);
         next_retry_day = day + backoff_days;
@@ -746,19 +784,15 @@ int cmd_serve(const Args& args) {
       day_batch = corrupted.observations;
       if (day_batch.empty()) continue;
     }
-    if (sequential) {
-      for (const auto& obs : day_batch)
-        (void)monitor.observe(obs.drive_model, obs.drive_index, obs.deploy_day,
-                              obs.record);
-    } else {
-      (void)monitor.observe_batch(day_batch);
-    }
-    // Retire drives whose history ended (their slot was swapped out).
+    for (const auto& obs : day_batch) (void)service.push(obs);
+    // Retire drives whose history ended (their slot was swapped out) only
+    // once the day is processed: a retire is ordered after drain().
+    service.drain();
     for (std::size_t d = 0; d < fleet.drives.size(); ++d) {
       const auto& drive = fleet.drives[d];
       if (cursor[d] == drive.records.size() && !drive.records.empty() &&
           drive.records.back().day == day)
-        monitor.retire(drive.model, drive.drive_index);
+        service.retire(drive.model, drive.drive_index);
     }
     if (snapshotter) {
       if (auto deltas = snapshotter->tick(obs::Snapshotter::Clock::now(), true)) {
@@ -770,13 +804,13 @@ int cmd_serve(const Args& args) {
       }
     }
   }
+  service.stop();
   const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  const auto snapshot = monitor.metrics();
-  std::printf("replayed days %d..%d in %.1fs (%.0f records/s, %s path%s)\n", first_day,
-              last_day, secs, static_cast<double>(snapshot.records_scored) / secs,
-              sequential ? "sequential" : "batched",
+  const daemon::DaemonStats stats = service.stats();
+  std::printf("replayed days %d..%d in %.1fs (%.0f records/s%s)\n", first_day, last_day,
+              secs, static_cast<double>(stats.scored) / std::max(secs, 1e-9),
               chaos_pct > 0 ? ", chaos on" : "");
-  std::fputs(snapshot.to_text().c_str(), stdout);
+  print_serve_report(stats, service.shards(), degraded);
   if (!stream_path.empty())
     std::printf("streamed per-day metric deltas to %s\n", stream_path.c_str());
   const std::string metrics_path = args.get("metrics-out", "");
@@ -962,13 +996,14 @@ int cmd_daemon(const Args& args) {
     // ingest exactly as they would against a real-time fleet, just with
     // stream days standing in for wall-clock days.
     //
-    // Retirements are routed to retire() after the drive's last record:
-    // the compactor turns kRetires into SwapEvents, which is what gives
-    // the retrainer its positive labels.  A drive retires when its stream
-    // carries a dead-flagged limbo record, or when the trace shows a
-    // terminal swap (last swap after the last record — the drive was
-    // replaced and never re-entered).  Mid-life swaps with repair
-    // re-entry are not routed: retire() is terminal in the health
+    // Retirements are routed to retire() after the day holding the drive's
+    // last record has drained (a retire is ordered against earlier pushes
+    // only after drain()): the compactor turns kRetires into SwapEvents,
+    // which is what gives the retrainer its positive labels.  A drive
+    // retires when its stream carries a dead-flagged limbo record, or when
+    // the trace shows a terminal swap (last swap after the last record —
+    // the drive was replaced and never re-entered).  Mid-life swaps with
+    // repair re-entry are not routed: retire() is terminal in the health
     // tracker, and a retire pinned at the post-repair tail would mislabel
     // the early failure anyway.
     std::unordered_map<std::uint64_t, std::size_t> last_index_of_retired;
@@ -984,22 +1019,25 @@ int cmd_daemon(const Args& args) {
       const auto it = last_index_of_retired.find(stream[i].uid());
       if (it != last_index_of_retired.end()) it->second = i;  // last record wins
     }
-    const auto drained = [&] {
-      const daemon::DaemonStats s = daemon.stats();
-      return s.scored + s.quarantined + s.duplicates_dropped + s.shed >= s.ingested;
-    };
+    std::vector<const core::FleetObservation*> day_retires;
     const long step_days = std::max(1L, args.get_long("online-step-days", 15));
     std::int64_t last_step_day = std::numeric_limits<std::int64_t>::min() / 2;
     std::size_t i = 0;
     while (i < stream.size() && g_daemon_stop == 0) {
       const std::int32_t day = stream[i].record.day;
+      day_retires.clear();
       for (; i < stream.size() && stream[i].record.day == day; ++i) {
         (void)daemon.push(stream[i]);
         const auto it = last_index_of_retired.find(stream[i].uid());
         if (it != last_index_of_retired.end() && it->second == i)
-          daemon.retire(stream[i].drive_model, stream[i].drive_index);
+          day_retires.push_back(&stream[i]);
       }
-      while (!drained()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      daemon.drain();
+      if (!day_retires.empty()) {
+        for (const core::FleetObservation* obs : day_retires)
+          daemon.retire(obs->drive_model, obs->drive_index);
+        daemon.drain();  // the learner's step sees the retires
+      }
       if (day - last_step_day >= step_days) {
         const online::StepReport report = learner->step();
         last_step_day = day;
@@ -1137,9 +1175,9 @@ int cmd_drift(const Args& args) {
 }
 
 /// Built-in end-to-end smoke that exercises every instrumented layer —
-/// simulator, trace I/O, training (CV + forest), thread pool, monitor,
-/// sanitizer (via chaos) — then prints the Prometheus exposition.  CI's
-/// metrics-lint step validates this output (scripts/metrics_lint.py).
+/// simulator, trace I/O, training (CV + forest), thread pool, daemon,
+/// sanitizer (via chaos), health — then prints the Prometheus exposition.
+/// CI's metrics-lint step validates this output (scripts/metrics_lint.py).
 int cmd_metrics(const Args& args) {
   sim::FleetConfig cfg = config_from(args);
   cfg.drives_per_model = static_cast<std::uint32_t>(args.get_long("drives", 30));
@@ -1162,12 +1200,16 @@ int cmd_metrics(const Args& args) {
   const auto model = ml::make_model(ml::ModelKind::kRandomForest);
   (void)core::evaluate_auc(*model, data);
 
-  // Monitor + sanitizer metrics: replay the fleet with chaos so repairs
-  // and quarantines occur.
+  // Daemon + sanitizer + health metrics: replay the fleet with chaos so
+  // repairs and quarantines occur.
   auto scorer = ml::make_model(ml::ModelKind::kThresholdBaseline);
   scorer->fit(ml::downsample_negatives(data, 1.0, cfg.seed));
-  core::FleetMonitor monitor(std::shared_ptr<const ml::Classifier>(std::move(scorer)),
-                             0.9, 4);
+  daemon::DaemonConfig dcfg;
+  dcfg.shards = 4;
+  dcfg.threshold = 0.9;
+  dcfg.block_timeout = std::chrono::minutes(1);
+  daemon::TelemetryDaemon service(
+      std::shared_ptr<const ml::Classifier>(std::move(scorer)), dcfg);
   robustness::FaultInjector injector(cfg.seed ^ 0x9e3779b97f4a7c15ull,
                                      robustness::FaultRates::uniform(0.10));
   std::vector<core::FleetObservation> batch;
@@ -1179,7 +1221,9 @@ int cmd_metrics(const Args& args) {
                      return a.record.day < b.record.day;
                    });
   const auto corrupted = injector.corrupt(batch);
-  (void)monitor.observe_batch(corrupted.observations);
+  service.start();
+  for (const auto& obs : corrupted.observations) (void)service.push(obs);
+  service.stop();
 
   obs::TraceCollector::global().publish(obs::MetricsRegistry::global());
   const obs::RegistrySnapshot snapshot = obs::MetricsRegistry::global().snapshot();

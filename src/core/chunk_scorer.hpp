@@ -5,7 +5,7 @@
 // the mapped chunk spans (no per-row DailyRecord gather), rows are scored
 // in blocks through FlatForest::predict_into, and chunks run in parallel.
 //
-// This is the offline/bulk sibling of FleetMonitor::observe_batch: score
+// This is the offline/bulk sibling of the daemon's streaming path: score
 // an entire stored fleet (backfills, model evaluation sweeps, alert
 // replays) without materializing row structs.  Scores are bit-identical to
 // gathering each record and scoring it through the same engine (pinned by

@@ -1,10 +1,9 @@
 #pragma once
 
 // The unit of fleet-scoring ingestion (beyond the paper: serving
-// infrastructure for its Section 5 models), factored out of
-// online_monitor.hpp so stream-level tooling (robustness::FaultInjector,
-// replay drivers) can consume the type without depending on the monitor
-// itself.
+// infrastructure for its Section 5 models).  It lives in core so
+// stream-level tooling (robustness::FaultInjector, replay drivers) can
+// consume the type without depending on the daemon that scores it.
 
 #include <cstdint>
 

@@ -1,6 +1,7 @@
 #include "daemon/daemon.hpp"
 
 #include <atomic>
+#include <cmath>
 
 #include "ml/matrix.hpp"
 #include "ml/model_zoo.hpp"
@@ -10,7 +11,7 @@ namespace ssdfail::daemon {
 namespace {
 
 /// Instance label so concurrent daemons (tests, benches) sharing a
-/// registry never clobber each other's gauges — the FleetMonitor idiom.
+/// registry never clobber each other's gauges.
 std::string next_daemon_label() {
   static std::atomic<std::uint64_t> next{0};
   return std::to_string(next.fetch_add(1, std::memory_order_relaxed));
@@ -67,6 +68,9 @@ TelemetryDaemon::TelemetryDaemon(std::shared_ptr<const ml::Classifier> model,
                                 "Records that reached the model");
   alerts_metric_ = &reg.counter("daemon_alerts_total", {},
                                 "Scores at or above the alert threshold");
+  non_finite_metric_ =
+      &reg.counter("daemon_non_finite_scores_total", {},
+                   "NaN/inf model scores clamped to 1.0 (conservative alert)");
   segments_metric_ = &reg.counter("daemon_wal_segments_appended_total", {},
                                   "WAL segments appended across shards");
   wal_bytes_metric_ = &reg.counter("daemon_wal_appended_bytes_total", {},
@@ -105,8 +109,9 @@ TelemetryDaemon::TelemetryDaemon(std::shared_ptr<const ml::Classifier> model,
 TelemetryDaemon::~TelemetryDaemon() { stop(); }
 
 std::size_t TelemetryDaemon::shard_index(std::uint64_t uid) const noexcept {
-  // Same routing as FleetMonitor: hash, then modulo, so one drive's whole
-  // stream stays on one shard (the sanitizer/cursor day-order invariant).
+  // Hash, then modulo, so one drive's whole stream stays on one shard (the
+  // sanitizer/cursor day-order invariant).  Hashing rather than taking the
+  // raw uid modulo also spreads the model tag held in the uid's high bits.
   return static_cast<std::size_t>(stats::hash_keys({uid}) % shards_.size());
 }
 
@@ -269,7 +274,26 @@ void TelemetryDaemon::retire(trace::DriveModel drive_model, std::uint32_t drive_
     return;
   }
   std::scoped_lock lock(shard.retire_mutex);
+  retires_queued_.fetch_add(1, std::memory_order_relaxed);
   shard.pending_retires.push_back(uid);
+}
+
+void TelemetryDaemon::drain() {
+  for (int spins = 0; running_.load(); ++spins) {
+    // Acquire pairs with the appenders' release: once the count is met,
+    // the caller sees every processed record's effects.
+    std::uint64_t done = 0;
+    for (const auto& shard : shards_)
+      done += shard->processed.load(std::memory_order_acquire);
+    if (done >= ingested_.load(std::memory_order_relaxed) +
+                    retires_queued_.load(std::memory_order_relaxed))
+      return;
+    if (spins < 64) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
 }
 
 void TelemetryDaemon::wal_append(Shard& shard,
@@ -358,6 +382,7 @@ void TelemetryDaemon::process_records(Shard& shard,
   std::vector<float> scores;
   if (model != nullptr && rows.rows() > 0) scores = model->predict_proba(rows);
   std::uint64_t alerts = 0;
+  std::uint64_t non_finite = 0;
   std::size_t scored_row = 0;
   for (const Prepared& p : prepared) {
     if (p.quarantined) {
@@ -370,7 +395,14 @@ void TelemetryDaemon::process_records(Shard& shard,
     assessment.uid = p.uid;
     assessment.day = p.day;
     assessment.scored = model != nullptr;
-    assessment.score = assessment.scored ? scores[scored_row] : 0.0f;
+    if (assessment.scored) {
+      assessment.score = scores[scored_row];
+      // A broken model must fail loud: conservative max risk, counted.
+      if (!std::isfinite(assessment.score)) {
+        assessment.score = 1.0f;
+        ++non_finite;
+      }
+    }
     ++scored_row;
     assessment.alert = assessment.scored && assessment.score >= config_.threshold;
     if (assessment.alert) ++alerts;
@@ -387,6 +419,10 @@ void TelemetryDaemon::process_records(Shard& shard,
     scored_metric_->inc(rows.rows());
     alerts_.fetch_add(alerts, std::memory_order_relaxed);
     alerts_metric_->inc(alerts);
+    if (non_finite > 0) {
+      non_finite_.fetch_add(non_finite, std::memory_order_relaxed);
+      non_finite_metric_->inc(non_finite);
+    }
   }
 }
 
@@ -426,6 +462,10 @@ void TelemetryDaemon::appender_main(Shard& shard) {
     wal_append(shard, batch, retires);
     process_records(shard, batch);
     process_retires(shard, retires);
+    // Single writer: a plain store, no read-modify-write on the hot path.
+    shard.processed.store(
+        shard.processed.load(std::memory_order_relaxed) + batch.size() + retires.size(),
+        std::memory_order_release);
     shard.heartbeat.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -470,6 +510,7 @@ DaemonStats TelemetryDaemon::stats() const {
   out.rejected = rejected_.load();
   out.scored = scored_.load();
   out.alerts = alerts_.load();
+  out.non_finite_scores = non_finite_.load();
   out.quarantined = quarantined_.load();
   out.duplicates_dropped = duplicates_.load();
   out.segments_appended = segments_.load();

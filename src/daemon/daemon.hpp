@@ -19,6 +19,9 @@
 // Failure posture — the daemon degrades, it does not die:
 //   * scorer unavailable (null model)  -> ingest + WAL + health continue,
 //     scores read 0, `daemon_degraded` gauge is 1 until set_model().
+//   * scorer broken (NaN/inf scores)   -> each non-finite score is clamped
+//     to 1.0, so the record alerts and health escalates, and is counted in
+//     `daemon_non_finite_scores_total`: a broken model pages, loudly.
 //   * store unavailable (WAL open or append fails) -> scoring continues
 //     without durability, `daemon_wal_degraded` is 1 and every failure
 //     counts in `daemon_wal_errors_total`.
@@ -29,6 +32,11 @@
 // that sit on a non-empty ring without making progress
 // (`daemon_watchdog_stalls_total`); stop() drains every ring, fsyncs, and
 // joins all threads (the CLI wires SIGTERM/SIGINT to it).
+//
+// This is the only per-record scoring pipeline: the `daemon`, `serve` and
+// `metrics` CLI commands, the online-learning loop, and the benchmark all
+// run through process_records().  Synchronous callers (serve's day-paced
+// replay) push a batch and wait on drain().
 
 #include <atomic>
 #include <chrono>
@@ -133,6 +141,7 @@ struct DaemonStats {
   std::uint64_t rejected = 0;  ///< pushes after stop() began
   std::uint64_t scored = 0;
   std::uint64_t alerts = 0;
+  std::uint64_t non_finite_scores = 0;  ///< NaN/inf scores clamped to 1.0
   std::uint64_t quarantined = 0;
   std::uint64_t duplicates_dropped = 0;
   std::uint64_t segments_appended = 0;
@@ -167,8 +176,18 @@ class TelemetryDaemon {
   /// backpressure policy; returns kRejected once stop() has begun.
   PushResult push(const core::FleetObservation& obs);
 
+  /// Block until every record accepted so far and every queued retire has
+  /// been processed by its appender.  Counts records that were scored,
+  /// quarantined or dropped as duplicates alike, so it also returns in
+  /// degraded mode (null model).  Returns at once when not running.
+  void drain();
+
   /// Route a drive swap through the pipeline (WAL-logged as a kRetires
   /// segment, so recovery replays it at the same point in the stream).
+  /// While running, a retire is ordered against earlier pushes only after
+  /// drain(): an appender that already popped its batch swaps in pending
+  /// retires before the records pushed just ahead of them.  Push a drive's
+  /// last record, drain(), then retire it.
   void retire(trace::DriveModel drive_model, std::uint32_t drive_index);
 
   /// Install (or restore) the scoring model; a non-null model clears
@@ -207,6 +226,9 @@ class TelemetryDaemon {
 
     std::thread appender;
     std::atomic<std::uint64_t> heartbeat{0};  ///< bumps once per busy iteration
+    /// Records + retires this shard's appender has processed (drain()).
+    /// Single writer; per shard so appenders never share the line.
+    std::atomic<std::uint64_t> processed{0};
     /// Set by set_model(), consumed by the owning appender (or inline when
     /// quiesced): clear strike streaks before processing the next batch.
     std::atomic<bool> strike_reset_pending{false};
@@ -251,10 +273,15 @@ class TelemetryDaemon {
   std::atomic<std::uint64_t> watchdog_stalls_{0};
   std::atomic<bool> wal_degraded_{false};
   WalReplayStats recovery_;  ///< written by start() before threads exist
+  std::atomic<std::uint64_t> non_finite_{0};
+  /// Retires queued by retire() while running; drain() waits until the
+  /// shards' processed counts cover ingested + queued.
+  std::atomic<std::uint64_t> retires_queued_{0};
 
   obs::Counter* shed_metric_ = nullptr;
   obs::Counter* scored_metric_ = nullptr;
   obs::Counter* alerts_metric_ = nullptr;
+  obs::Counter* non_finite_metric_ = nullptr;
   obs::Counter* segments_metric_ = nullptr;
   obs::Counter* wal_bytes_metric_ = nullptr;
   obs::Counter* wal_errors_metric_ = nullptr;

@@ -1,10 +1,8 @@
 #include "ml/flat_forest.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -26,43 +24,7 @@ constexpr std::int32_t kNodeShift = 4;
 static_assert(sizeof(FlatNode) == (std::size_t{1} << kNodeShift),
               "kNodeShift must match sizeof(FlatNode)");
 
-std::atomic<int> g_engine{-1};  // -1: not yet resolved
-
-InferenceEngine default_engine() noexcept {
-  if (const char* env = std::getenv("SSDFAIL_ENGINE")) {
-    if (const auto parsed = parse_inference_engine(env)) return *parsed;
-  }
-#ifdef SSDFAIL_ENGINE_WALKER
-  return InferenceEngine::kWalker;
-#else
-  return InferenceEngine::kFlat;
-#endif
-}
-
 }  // namespace
-
-InferenceEngine inference_engine() noexcept {
-  int v = g_engine.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = static_cast<int>(default_engine());
-    g_engine.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<InferenceEngine>(v);
-}
-
-void set_inference_engine(InferenceEngine engine) noexcept {
-  g_engine.store(static_cast<int>(engine), std::memory_order_relaxed);
-}
-
-std::string_view inference_engine_name(InferenceEngine engine) noexcept {
-  return engine == InferenceEngine::kWalker ? "walker" : "flat";
-}
-
-std::optional<InferenceEngine> parse_inference_engine(std::string_view name) noexcept {
-  if (name == "walker") return InferenceEngine::kWalker;
-  if (name == "flat") return InferenceEngine::kFlat;
-  return std::nullopt;
-}
 
 /// Friend of the walker models: reads the private node arrays the public
 /// APIs deliberately do not expose.

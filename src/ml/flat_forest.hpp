@@ -30,18 +30,15 @@
 // (RF: mean over trees; GB: sigmoid of prior + damped leaf sums).  The
 // golden pipeline suite pins this.
 //
-// Engine selection: make_serving_model() wraps fitted ensembles for the
-// monitor / CLI serve path.  The default engine is `flat`; build with
-// -DSSDFAIL_DEFAULT_ENGINE=walker (or set SSDFAIL_ENGINE=walker in the
-// environment) to keep the pointer walk as an escape hatch.
+// Serving: make_serving_model() compiles every fitted ensemble it serves
+// (daemon, CLI serve, online arena) to this engine.  The pointer walk
+// stays the training-time predictor and the oracle tests compare against.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "ml/classifier.hpp"
@@ -52,22 +49,6 @@ namespace ssdfail::ml {
 class RandomForest;
 class GradientBoosting;
 struct FlatForestCompiler;
-
-/// Which scoring implementation serving paths use.
-enum class InferenceEngine : std::uint8_t {
-  kWalker = 0,  ///< original pointer-linked per-row tree walk
-  kFlat = 1,    ///< compiled flat-forest engine (this module)
-};
-
-/// Process-wide engine selection.  Initialized on first use from the
-/// SSDFAIL_ENGINE environment variable ("walker" or "flat") when set,
-/// otherwise from the build-time default (flat unless the build sets
-/// -DSSDFAIL_DEFAULT_ENGINE=walker).
-[[nodiscard]] InferenceEngine inference_engine() noexcept;
-void set_inference_engine(InferenceEngine engine) noexcept;
-[[nodiscard]] std::string_view inference_engine_name(InferenceEngine engine) noexcept;
-[[nodiscard]] std::optional<InferenceEngine> parse_inference_engine(
-    std::string_view name) noexcept;
 
 /// One flattened tree node: 16 bytes, four per cache line.  `left` holds
 /// the left child's BYTE offset into the node array (id * 16): scaled

@@ -36,12 +36,11 @@ enum class ModelKind {
 /// The hyperparameter grid for one model kind (for grid_search()).
 [[nodiscard]] std::vector<Candidate> model_grid(ModelKind kind, std::uint64_t seed = 1);
 
-/// Wrap a fitted model for serving: when the selected inference engine is
-/// `flat` and `model` is a fitted tree ensemble (RandomForest or
-/// GradientBoosting), returns a FlatForestClassifier compiled from it;
-/// anything else (walker engine, non-ensemble classifiers, unfitted
-/// models, already-wrapped models, null) passes through unchanged.
-/// Scores are bit-identical either way — this only changes speed.
+/// Wrap a fitted model for serving: a fitted tree ensemble (RandomForest
+/// or GradientBoosting) comes back as a FlatForestClassifier compiled from
+/// it; anything else (non-ensemble classifiers, unfitted models,
+/// already-wrapped models, null) passes through unchanged.  Scores are
+/// bit-identical to the pointer walk — this only changes speed.
 [[nodiscard]] std::shared_ptr<const Classifier> make_serving_model(
     std::shared_ptr<const Classifier> model);
 

@@ -440,7 +440,7 @@ std::shared_ptr<const Classifier> load_serving_classifier_file(const std::string
   // A v2 ensemble already compiled its engine for manifest verification;
   // hand it to the serving wrapper instead of recompiling.  v1 files and
   // non-ensembles fall through to make_serving_model.
-  if (!engine.empty() && inference_engine() == InferenceEngine::kFlat)
+  if (!engine.empty())
     return std::make_shared<const FlatForestClassifier>(std::move(fitted),
                                                         std::move(engine));
   return make_serving_model(std::move(fitted));

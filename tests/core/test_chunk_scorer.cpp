@@ -1,7 +1,7 @@
 // Columnar chunk scoring: the column-direct feature path and the compiled
 // engine must reproduce the record-at-a-time gather path bit for bit, at
-// any chunk size and any pool width — and the monitor must score
-// identically on either inference engine.
+// any chunk size and any pool width — and the compiled engine must score
+// every chunk record exactly as the pointer-walking forest does.
 
 #include "core/chunk_scorer.hpp"
 
@@ -11,7 +11,6 @@
 
 #include "core/dataset_builder.hpp"
 #include "core/features.hpp"
-#include "core/online_monitor.hpp"
 #include "ml/random_forest.hpp"
 #include "sim/fleet_simulator.hpp"
 #include "trace/binary_io.hpp"
@@ -126,36 +125,32 @@ TEST(ChunkScorer, PoolWidthDoesNotMoveScores) {
   EXPECT_EQ(a.score, b.score);
 }
 
-/// Restores the process-wide engine selection on scope exit.
-struct EngineGuard {
-  ml::InferenceEngine saved = ml::inference_engine();
-  ~EngineGuard() { ml::set_inference_engine(saved); }
-};
+TEST(ChunkScorer, FlatChunkScoresBitIdenticalToWalker) {
+  // The serving engine (a FlatForestClassifier compiled from the forest)
+  // against the pointer walk it was compiled from, over every record of a
+  // stored fleet: the same features, scored both ways, bit for bit.
+  const auto forest = std::make_shared<const ml::RandomForest>(test_forest());
+  const ml::FlatForestClassifier flat(forest);
+  const auto view = columnar_view(4);
+  const FleetScores scores = predict_chunk(flat.engine(), view);
 
-TEST(ChunkScorer, MonitorScoresIdenticallyOnBothEngines) {
-  const EngineGuard guard;
-  auto model = std::make_shared<ml::RandomForest>(test_forest());
-
-  const auto replay = [&](ml::InferenceEngine engine) {
-    ml::set_inference_engine(engine);
-    FleetMonitor monitor(model, 0.5, 4);
-    std::vector<float> risks;
-    for (const auto& drive : test_fleet().drives) {
-      std::size_t fed = 0;
-      for (const auto& rec : drive.records) {
-        if (fed++ == 30) break;  // enough days to exercise cumulative state
-        risks.push_back(monitor
-                            .observe(drive.model, drive.drive_index,
-                                     drive.deploy_day, rec)
-                            .risk);
+  ml::Matrix rows;
+  std::vector<float> row(FeatureExtractor::count());
+  for (std::size_t c = 0; c < view.chunk_count(); ++c) {
+    const store::ChunkView& chunk = view.chunk(c);
+    for (const store::DriveRef& ref : chunk.drives) {
+      FeatureExtractor::State state;
+      for (std::size_t i = 0; i < ref.row_count; ++i) {
+        FeatureExtractor::advance(state, chunk, ref.row_begin + i);
+        FeatureExtractor::extract(ref.deploy_day, chunk, ref.row_begin + i, state, row);
+        rows.push_row(row);
       }
     }
-    return risks;
-  };
-
-  const std::vector<float> flat = replay(ml::InferenceEngine::kFlat);
-  const std::vector<float> walker = replay(ml::InferenceEngine::kWalker);
-  EXPECT_EQ(flat, walker);
+  }
+  const std::vector<float> walker = forest->predict_proba(rows);
+  ASSERT_EQ(walker.size(), scores.size());
+  EXPECT_EQ(scores.score, walker);
+  EXPECT_EQ(flat.predict_proba(rows), walker);
 }
 
 }  // namespace

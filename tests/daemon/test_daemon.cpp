@@ -1,6 +1,10 @@
 // TelemetryDaemon tests: graceful drain accounting, WAL recovery
 // bit-identity, batch-boundary independence, retire-through-the-WAL,
-// degraded modes, backpressure shedding, and the watchdog.
+// degraded modes, backpressure shedding, and the watchdog.  The daemon is
+// the only per-record scoring pipeline, so the serving contract is pinned
+// here too: the non-finite score clamp, hot model swaps, chaos accounting,
+// shard/producer independence, streaming-vs-batch feature parity, drain(),
+// and drain-then-retire ordering.
 
 #include "daemon/daemon.hpp"
 
@@ -8,11 +12,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 
+#include "core/dataset_builder.hpp"
+#include "core/failure_timeline.hpp"
+#include "core/features.hpp"
 #include "daemon_test_util.hpp"
+#include "ml/downsample.hpp"
+#include "ml/model_zoo.hpp"
 #include "robustness/fault_injector.hpp"
+#include "sim/fleet_simulator.hpp"
 
 namespace ssdfail::daemon {
 namespace {
@@ -321,6 +335,521 @@ TEST(TelemetryDaemon, WatchdogCountsAStalledAppender) {
   EXPECT_GE(daemon.stats().watchdog_stalls, 1u);
   release.store(true, std::memory_order_release);
   daemon.stop();
+}
+
+// --- The serving contract -----------------------------------------------
+
+/// Fitted forest shared by the serving-contract cases (the daemon compiles
+/// it to the flat engine; the tests compare against the walker).
+std::shared_ptr<const ml::Classifier> fitted_forest() {
+  static const std::shared_ptr<const ml::Classifier> model = [] {
+    sim::FleetConfig cfg;
+    cfg.drives_per_model = 300;
+    sim::FleetSimulator fleet(cfg);
+    core::DatasetBuildOptions opts;
+    opts.lookahead_days = 1;
+    opts.negative_keep_prob = 0.05;
+    const ml::Dataset data = core::build_dataset(fleet, opts);
+    auto forest = ml::make_model(ml::ModelKind::kRandomForest);
+    forest->fit(ml::downsample_negatives(data, 1.0, 3));
+    return std::shared_ptr<const ml::Classifier>(std::move(forest));
+  }();
+  return model;
+}
+
+/// Scores everything as NaN: a broken model.
+class NanModel final : public ml::Classifier {
+ public:
+  void fit(const ml::Dataset&) override {}
+  [[nodiscard]] std::vector<float> predict_proba(const ml::Matrix& x) const override {
+    return std::vector<float>(x.rows(), std::numeric_limits<float>::quiet_NaN());
+  }
+  [[nodiscard]] std::string name() const override { return "nan_model"; }
+  [[nodiscard]] std::unique_ptr<ml::Classifier> clone() const override {
+    return std::make_unique<NanModel>();
+  }
+};
+
+/// A clean day-ordered replay stream over a small simulated fleet, in the
+/// day-then-drive order `serve` pushes.
+std::vector<core::FleetObservation> replay_stream(std::uint32_t drives_per_model) {
+  sim::FleetConfig cfg;
+  cfg.drives_per_model = drives_per_model;
+  cfg.seed = 77;
+  const trace::FleetTrace fleet = sim::FleetSimulator(cfg).generate_all();
+  std::map<std::int32_t, std::vector<core::FleetObservation>> by_day;
+  for (const auto& drive : fleet.drives)
+    for (const auto& rec : drive.records)
+      by_day[rec.day].push_back({drive.model, drive.drive_index, drive.deploy_day, rec});
+  std::vector<core::FleetObservation> stream;
+  for (auto& [day, obs] : by_day) stream.insert(stream.end(), obs.begin(), obs.end());
+  return stream;
+}
+
+using DriveDay = std::pair<std::uint64_t, std::int32_t>;
+
+/// Collects every assessment's score by (uid, day); thread-safe.
+struct ScoreSink {
+  std::mutex mutex;
+  std::map<DriveDay, float> scores;
+  void attach(DaemonConfig& cfg) {
+    cfg.on_assessment = [this](const DriveAssessment& a) {
+      std::scoped_lock lock(mutex);
+      scores[{a.uid, a.day}] = a.score;
+    };
+  }
+};
+
+struct Replay {
+  std::map<DriveDay, float> scores;
+  DaemonStats stats;
+  std::uint64_t digest = 0;
+};
+
+/// Push `stream` through a WAL-less daemon with `producers` threads, each
+/// owning the drives with uid % producers == p (so a drive's records keep
+/// their order), then stop and collect scores, stats and state digest.
+Replay replay(std::shared_ptr<const ml::Classifier> model,
+              const std::vector<core::FleetObservation>& stream, std::size_t shards,
+              std::size_t producers = 1, std::size_t dead_letter_capacity = 64) {
+  obs::MetricsRegistry registry;
+  auto cfg = base_config("", &registry);
+  cfg.shards = shards;
+  cfg.block_timeout = std::chrono::seconds(30);  // wait for space, never shed
+  cfg.dead_letter_capacity = dead_letter_capacity;
+  ScoreSink sink;
+  sink.attach(cfg);
+  TelemetryDaemon daemon(std::move(model), cfg);
+  daemon.start();
+  std::vector<std::thread> threads;
+  for (std::size_t p = 0; p < producers; ++p) {
+    threads.emplace_back([&, p] {
+      for (const auto& obs : stream)
+        if (obs.uid() % producers == p) (void)daemon.push(obs);
+    });
+  }
+  for (auto& t : threads) t.join();
+  daemon.stop();
+  return {std::move(sink.scores), daemon.stats(), daemon.state_digest()};
+}
+
+TEST(TelemetryDaemon, NonFiniteScoresClampToConservativeAlert) {
+  obs::MetricsRegistry registry;
+  auto cfg = base_config("", &registry);
+  std::mutex mutex;
+  std::vector<DriveAssessment> seen;
+  cfg.on_assessment = [&](const DriveAssessment& a) {
+    std::scoped_lock lock(mutex);
+    seen.push_back(a);
+  };
+  TelemetryDaemon daemon(std::make_shared<NanModel>(), cfg);
+  daemon.start();
+  const auto stream = make_stream(4, 6);
+  for (const auto& obs : stream) ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
+  daemon.stop();
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.scored, stream.size());
+  // A broken model fails loud: every score clamps to 1.0 and alerts.
+  EXPECT_EQ(stats.alerts, stats.scored);
+  EXPECT_EQ(stats.non_finite_scores, stats.scored);
+  EXPECT_EQ(registry.counter("daemon_non_finite_scores_total").value(), stats.scored);
+  ASSERT_EQ(seen.size(), stream.size());
+  for (const DriveAssessment& a : seen) {
+    EXPECT_EQ(a.score, 1.0f);
+    EXPECT_TRUE(a.alert);
+  }
+  // Two straight alert-tier days page every drive.
+  EXPECT_EQ(stats.health_counts[static_cast<std::size_t>(HealthState::kAlert)], 4u);
+}
+
+TEST(TelemetryDaemon, SetModelMidStreamKeepsFeatureState) {
+  // Half the stream scores on a broken model, then the real one is
+  // installed: feature state carries over, so post-swap scores equal a
+  // daemon that ran the real model throughout.
+  const auto stream = replay_stream(4);
+  const std::size_t half = stream.size() / 2;
+  const Replay reference = replay(fitted_forest(), stream, 3);
+
+  obs::MetricsRegistry registry;
+  auto cfg = base_config("", &registry);
+  cfg.shards = 3;
+  ScoreSink sink;
+  sink.attach(cfg);
+  TelemetryDaemon daemon(std::make_shared<NanModel>(), cfg);
+  daemon.start();
+  for (std::size_t i = 0; i < half; ++i) (void)daemon.push(stream[i]);
+  daemon.drain();
+  {
+    std::scoped_lock lock(sink.mutex);
+    sink.scores.clear();
+  }
+  daemon.set_model(fitted_forest());
+  for (std::size_t i = half; i < stream.size(); ++i) (void)daemon.push(stream[i]);
+  daemon.stop();
+
+  ASSERT_EQ(sink.scores.size(), stream.size() - half);
+  for (const auto& [key, score] : sink.scores)
+    EXPECT_EQ(score, reference.scores.at(key)) << "drive " << key.first << " day "
+                                               << key.second;
+  EXPECT_EQ(daemon.stats().non_finite_scores, half);
+  EXPECT_EQ(daemon.stats().scored, stream.size());
+}
+
+TEST(TelemetryDaemon, CorruptedReplayAccountsForEveryRecord) {
+  // A ~10%-corrupted replay: every record is scored, quarantined or dropped
+  // as a duplicate, and every record the injector certifies clean scores
+  // bit-identically to the uncorrupted run.
+  const auto stream = replay_stream(12);
+  ASSERT_GT(stream.size(), 1000u);
+  const Replay clean = replay(fitted_forest(), stream, 4);
+
+  robustness::FaultInjector injector(41, robustness::FaultRates::uniform(0.10));
+  const auto corrupted = injector.corrupt(stream);
+  ASSERT_GT(corrupted.total_injected(), 0u);
+  const Replay dirty = replay(fitted_forest(), corrupted.observations, 4, 1,
+                              /*dead_letter_capacity=*/1u << 20);
+
+  const DaemonStats& stats = dirty.stats;
+  EXPECT_EQ(stats.ingested, corrupted.observations.size());
+  EXPECT_EQ(stats.scored + stats.quarantined + stats.duplicates_dropped, stats.ingested);
+  EXPECT_GT(stats.quarantined, 0u);
+  EXPECT_LE(stats.quarantined + stats.duplicates_dropped,
+            corrupted.count(robustness::StreamLabel::kCorrupt));
+  EXPECT_EQ(stats.non_finite_scores, 0u);
+  EXPECT_EQ(dirty.scores.size(), stats.scored);
+
+  std::size_t clean_records = 0;
+  for (std::size_t i = 0; i < corrupted.observations.size(); ++i) {
+    if (corrupted.label[i] != robustness::StreamLabel::kClean) continue;
+    const core::FleetObservation& obs = corrupted.observations[i];
+    const auto it = dirty.scores.find({obs.uid(), obs.record.day});
+    ASSERT_NE(it, dirty.scores.end()) << "clean record at position " << i << " dropped";
+    EXPECT_EQ(it->second, clean.scores.at({obs.uid(), obs.record.day}))
+        << "clean record at position " << i << " diverged from the clean run";
+    ++clean_records;
+  }
+  EXPECT_GT(clean_records, 100u);  // most drives get tainted upstream
+}
+
+TEST(TelemetryDaemon, ScoresAreIndependentOfShardCount) {
+  const auto stream = replay_stream(6);
+  const Replay one = replay(fitted_forest(), stream, 1);
+  const Replay eight = replay(fitted_forest(), stream, 8);
+  ASSERT_EQ(one.scores.size(), stream.size());
+  EXPECT_EQ(one.scores, eight.scores);
+  EXPECT_EQ(one.stats.alerts, eight.stats.alerts);
+  EXPECT_EQ(one.digest, eight.digest);
+}
+
+TEST(TelemetryDaemon, ScoresAreIndependentOfProducerCount) {
+  // Four threads each push a disjoint subset of drives into one sharded
+  // daemon; every drive's scores must equal a single-producer replay.
+  const auto stream = replay_stream(6);
+  const Replay single = replay(fitted_forest(), stream, 8, 1);
+  const Replay concurrent = replay(fitted_forest(), stream, 8, 4);
+  ASSERT_EQ(single.scores.size(), stream.size());
+  EXPECT_EQ(single.scores, concurrent.scores);
+  EXPECT_EQ(single.stats.alerts, concurrent.stats.alerts);
+  EXPECT_EQ(single.digest, concurrent.digest);
+  EXPECT_EQ(concurrent.stats.scored, stream.size());
+}
+
+TEST(TelemetryDaemon, StreamingScoresMatchBatchFeatureExtractor) {
+  // Streaming scores must equal what the batch feature extractor + the
+  // (walker) model produce for the same records, bit for bit.
+  sim::FleetConfig cfg;
+  cfg.drives_per_model = 300;
+  const trace::DriveHistory drive = sim::FleetSimulator(cfg).simulate(5);
+  std::vector<core::FleetObservation> stream;
+  for (const auto& rec : drive.records)
+    stream.push_back({drive.model, drive.drive_index, drive.deploy_day, rec});
+  const Replay streamed = replay(fitted_forest(), stream, 1);
+  ASSERT_EQ(streamed.scores.size(), drive.records.size());
+
+  core::FeatureExtractor::State state;
+  ml::Matrix row(1, core::FeatureExtractor::count());
+  for (const auto& rec : drive.records) {
+    core::FeatureExtractor::advance(state, rec);
+    core::FeatureExtractor::extract(drive, rec, state, row.row(0));
+    EXPECT_EQ(streamed.scores.at({drive.uid(), rec.day}),
+              fitted_forest()->predict_proba(row)[0])
+        << "day " << rec.day;
+  }
+}
+
+obs::Labels kind_label(trace::ViolationKind kind) {
+  return {{"kind", std::string(trace::violation_slug(kind))}};
+}
+
+TEST(TelemetryDaemon, TracksDrivesIndependently) {
+  // Drives sharing an index across models are tracked apart; the same
+  // drive on the next day reuses its state; retire forgets only that one.
+  obs::MetricsRegistry registry;
+  TelemetryDaemon daemon(std::make_shared<StubModel>(), base_config("", &registry));
+  daemon.start();
+  core::FleetObservation obs{trace::DriveModel::MlcA, 1, 0, {}};
+  obs.record.reads = 10;
+  obs.record.writes = 10;
+  (void)daemon.push(obs);
+  core::FleetObservation other = obs;
+  other.drive_model = trace::DriveModel::MlcB;
+  (void)daemon.push(other);
+  daemon.drain();
+  EXPECT_EQ(daemon.stats().drives_tracked, 2u);
+  obs.record.day = 1;
+  (void)daemon.push(obs);
+  daemon.drain();
+  EXPECT_EQ(daemon.stats().drives_tracked, 2u);
+  daemon.retire(trace::DriveModel::MlcA, 1);
+  daemon.drain();
+  EXPECT_EQ(daemon.stats().drives_tracked, 1u);
+  daemon.stop();
+  EXPECT_EQ(daemon.stats().scored, 3u);
+}
+
+TEST(TelemetryDaemon, OutOfOrderQuarantine) {
+  // A stale record is quarantined (not thrown on, not scored) as a
+  // non-monotone day; in-order records after it still score.
+  obs::MetricsRegistry registry;
+  TelemetryDaemon daemon(std::make_shared<StubModel>(), base_config("", &registry));
+  daemon.start();
+  core::FleetObservation obs{trace::DriveModel::MlcB, 1, 0, {}};
+  obs.record.day = 10;
+  (void)daemon.push(obs);
+  obs.record.day = 9;  // stale
+  (void)daemon.push(obs);
+  obs.record.day = 11;
+  (void)daemon.push(obs);
+  daemon.stop();
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.scored, 2u);  // day 10 + day 11
+  EXPECT_EQ(stats.quarantined, 1u);
+  EXPECT_EQ(stats.duplicates_dropped, 0u);
+  EXPECT_EQ(registry
+                .counter("sanitizer_quarantined_total",
+                         kind_label(trace::ViolationKind::kNonMonotoneDays))
+                .value(),
+            1u);
+}
+
+TEST(TelemetryDaemon, ExactDuplicateIsDroppedNotQuarantined) {
+  obs::MetricsRegistry registry;
+  TelemetryDaemon daemon(std::make_shared<StubModel>(), base_config("", &registry));
+  daemon.start();
+  core::FleetObservation obs{trace::DriveModel::MlcB, 1, 0, {}};
+  obs.record.day = 10;
+  obs.record.reads = 100;
+  (void)daemon.push(obs);
+  (void)daemon.push(obs);  // exact duplicate
+  daemon.stop();
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.scored, 1u);
+  EXPECT_EQ(stats.duplicates_dropped, 1u);
+  EXPECT_EQ(stats.quarantined, 0u);
+  EXPECT_EQ(registry.counter("sanitizer_duplicates_dropped_total").value(), 1u);
+}
+
+TEST(TelemetryDaemon, CounterRegressionIsRepairedAndScored) {
+  obs::MetricsRegistry registry;
+  TelemetryDaemon daemon(std::make_shared<StubModel>(), base_config("", &registry));
+  daemon.start();
+  core::FleetObservation obs{trace::DriveModel::MlcB, 1, 0, {}};
+  obs.record.day = 10;
+  obs.record.pe_cycles = 500;
+  (void)daemon.push(obs);
+  obs.record.day = 11;
+  obs.record.pe_cycles = 3;  // controller reset: cumulative P/E regressed
+  (void)daemon.push(obs);
+  daemon.stop();
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.scored, 2u);
+  EXPECT_EQ(stats.quarantined, 0u);
+  EXPECT_EQ(registry
+                .counter("sanitizer_repaired_total",
+                         kind_label(trace::ViolationKind::kDecreasingPeCycles))
+                .value(),
+            1u);
+}
+
+TEST(TelemetryDaemon, AlertCounterIsMonotone) {
+  obs::MetricsRegistry registry;
+  auto cfg = base_config("", &registry);
+  cfg.threshold = 0.0;  // everything alerts
+  cfg.shards = 3;
+  TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
+  daemon.start();
+  core::FleetObservation obs{trace::DriveModel::MlcD, 2, 0, {}};
+  obs.record.reads = 10;
+  std::uint64_t previous = 0;
+  for (std::int32_t day = 0; day < 20; ++day) {
+    obs.record.day = day;
+    ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
+    daemon.drain();
+    const std::uint64_t now = daemon.stats().alerts;
+    EXPECT_EQ(now, previous + 1);  // monotone, one per record at threshold 0
+    previous = now;
+  }
+  daemon.stop();
+  EXPECT_EQ(daemon.stats().scored, 20u);
+  EXPECT_EQ(daemon.stats().alerts, 20u);
+}
+
+TEST(TelemetryDaemon, AlertFollowsThreshold) {
+  const auto stream = make_stream(3, 8);
+  for (const double threshold : {0.0, 1.01}) {
+    obs::MetricsRegistry registry;
+    auto cfg = base_config("", &registry);
+    cfg.threshold = threshold;
+    TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
+    daemon.start();
+    for (const auto& obs : stream) ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
+    daemon.stop();
+    const DaemonStats stats = daemon.stats();
+    EXPECT_EQ(stats.scored, stream.size());
+    // Threshold 0: everything alerts; above 1: nothing does.
+    EXPECT_EQ(stats.alerts, threshold <= 0.0 ? stats.scored : 0u);
+  }
+}
+
+TEST(TelemetryDaemon, RisingRiskBeforeFailure) {
+  // Across many failed drives, the score on the failure day should on
+  // average exceed the score 30 days earlier.
+  sim::FleetConfig cfg;
+  cfg.drives_per_model = 300;
+  const sim::FleetSimulator fleet(cfg);
+  std::vector<core::FleetObservation> stream;
+  std::vector<std::pair<std::uint64_t, std::int32_t>> failed;  // uid, fail day
+  for (std::size_t i = 0; i < fleet.drive_count() && failed.size() < 40; ++i) {
+    const trace::DriveHistory drive = fleet.simulate(i);
+    const core::DriveTimeline timeline = core::derive_timeline(drive);
+    if (timeline.failures.empty()) continue;
+    const std::int32_t fail_day = timeline.failures[0].fail_day;
+    failed.emplace_back(drive.uid(), fail_day);
+    for (const auto& rec : drive.records)
+      if (rec.day <= fail_day)
+        stream.push_back({drive.model, drive.drive_index, drive.deploy_day, rec});
+  }
+  const Replay run = replay(fitted_forest(), stream, 4);
+
+  double risk_at_failure = 0.0;
+  double risk_before = 0.0;
+  int counted = 0;
+  for (const auto& [uid, fail_day] : failed) {
+    const auto at_fail = run.scores.find({uid, fail_day});
+    // Latest scored day at least 30 days before the failure.
+    auto before = run.scores.upper_bound({uid, fail_day - 30});
+    if (at_fail == run.scores.end() || before == run.scores.begin()) continue;
+    --before;
+    if (before->first.first != uid) continue;
+    risk_at_failure += at_fail->second;
+    risk_before += before->second;
+    ++counted;
+  }
+  ASSERT_GE(counted, 20);
+  EXPECT_GT(risk_at_failure / counted, risk_before / counted + 0.1);
+}
+
+TEST(TelemetryDaemon, RetireThenReobserveRecreatesState) {
+  obs::MetricsRegistry registry;
+  auto cfg = base_config("", &registry);
+  cfg.shards = 1;
+  std::vector<float> scores;  // one appender thread: no lock needed
+  cfg.on_assessment = [&](const DriveAssessment& a) { scores.push_back(a.score); };
+  TelemetryDaemon daemon(std::make_shared<StubModel>(), cfg);
+  daemon.start();
+  core::FleetObservation obs{trace::DriveModel::MlcA, 3, 0, {}};
+  obs.record.reads = 50;
+  obs.record.writes = 50;
+  (void)daemon.push(obs);
+  obs.record.day = 1;
+  obs.record.errors[static_cast<std::size_t>(trace::ErrorType::kUncorrectable)] = 9;
+  (void)daemon.push(obs);
+  daemon.drain();
+  daemon.retire(obs.drive_model, obs.drive_index);
+  daemon.drain();
+  EXPECT_EQ(daemon.stats().drives_tracked, 0u);
+
+  // Re-observing after retirement builds FRESH state: day 0 is legal again
+  // and scores like the first-ever observation, error history forgotten.
+  obs.record.day = 0;
+  obs.record.errors[static_cast<std::size_t>(trace::ErrorType::kUncorrectable)] = 0;
+  (void)daemon.push(obs);
+  daemon.stop();
+  ASSERT_EQ(scores.size(), 3u);
+  EXPECT_EQ(scores[2], scores[0]);
+  EXPECT_EQ(daemon.stats().drives_tracked, 1u);
+  EXPECT_EQ(daemon.stats().quarantined, 0u);
+}
+
+TEST(TelemetryDaemon, DrainReturnsWithoutAModel) {
+  obs::MetricsRegistry registry;
+  TelemetryDaemon daemon(nullptr, base_config("", &registry));
+  daemon.start();
+  const auto stream = make_stream(4, 10);
+  for (const auto& obs : stream) ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
+  daemon.drain();  // must return although nothing is ever scored
+  const DaemonStats stats = daemon.stats();
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.scored, 0u);
+  EXPECT_EQ(stats.drives_tracked, 4u);
+  // A stats()-based predicate keyed on `scored` would wait forever here.
+  EXPECT_LT(stats.scored + stats.quarantined + stats.duplicates_dropped, stats.ingested);
+
+  daemon.retire(trace::DriveModel::MlcA, 1);
+  daemon.drain();  // queued retires count too
+  EXPECT_EQ(daemon.stats().drives_tracked, 3u);
+  daemon.stop();
+  daemon.drain();  // not running: returns at once
+}
+
+TEST(TelemetryDaemon, DrainThenRetireMatchesQuiescedReplay) {
+  // Drives end on different days and are retired after their last record.
+  // Retiring only after drain() orders each retire behind the drive's
+  // records, so a live 2-shard run must land on the state of a 1-shard
+  // reference that processes every day fully before retiring inline.
+  constexpr std::uint32_t kDrives = 8;
+  const auto last_day = [](std::uint32_t d) {
+    return static_cast<std::int32_t>(6 + 2 * d);
+  };
+  std::map<std::int32_t, std::vector<core::FleetObservation>> days;
+  for (const auto& obs : make_stream(kDrives, 24))
+    if (obs.record.day <= last_day(obs.drive_index)) days[obs.record.day].push_back(obs);
+  const auto retire_ended = [&](TelemetryDaemon& daemon, std::int32_t day) {
+    for (std::uint32_t d = 0; d < kDrives; ++d)
+      if (last_day(d) == day) daemon.retire(trace::DriveModel::MlcA, d);
+  };
+
+  obs::MetricsRegistry registry;
+  auto cfg = base_config("", &registry);
+  cfg.watchdog_interval = std::chrono::milliseconds(1);
+  cfg.shards = 1;
+  TelemetryDaemon reference(std::make_shared<StubModel>(), cfg);
+  for (const auto& [day, batch] : days) {
+    reference.start();
+    for (const auto& obs : batch) ASSERT_EQ(reference.push(obs), PushResult::kAccepted);
+    reference.stop();
+    retire_ended(reference, day);  // quiesced: applied inline
+  }
+  const std::uint64_t expected = reference.state_digest();
+  const auto swapped = static_cast<std::size_t>(HealthState::kSwapped);
+  ASSERT_EQ(reference.stats().health_counts[swapped], kDrives);
+
+  cfg.shards = 2;
+  for (int rep = 0; rep < 50; ++rep) {
+    TelemetryDaemon live(std::make_shared<StubModel>(), cfg);
+    live.start();
+    for (const auto& [day, batch] : days) {
+      for (const auto& obs : batch) ASSERT_EQ(live.push(obs), PushResult::kAccepted);
+      live.drain();
+      retire_ended(live, day);
+    }
+    live.stop();
+    ASSERT_EQ(live.state_digest(), expected) << "repetition " << rep;
+  }
 }
 
 }  // namespace

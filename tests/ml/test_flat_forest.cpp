@@ -244,22 +244,16 @@ TEST(FlatForestClassifier, RejectsNonEnsembles) {
                std::invalid_argument);
 }
 
-/// Restores the process-wide engine selection on scope exit.
-struct EngineGuard {
-  InferenceEngine saved = inference_engine();
-  ~EngineGuard() { set_inference_engine(saved); }
-};
-
-TEST(MakeServingModel, WrapsEnsemblesOnlyUnderFlatEngine) {
-  const EngineGuard guard;
-  set_inference_engine(InferenceEngine::kFlat);
-
+TEST(MakeServingModel, CompilesFittedEnsemblesAndPassesOthersThrough) {
   auto forest = std::make_shared<RandomForest>(fitted_forest());
   const auto serving = make_serving_model(forest);
   ASSERT_NE(serving, nullptr);
   EXPECT_NE(dynamic_cast<const FlatForestClassifier*>(serving.get()), nullptr);
   // Idempotent: wrapping a wrapped model is a passthrough.
   EXPECT_EQ(make_serving_model(serving), serving);
+  auto boosting = std::make_shared<GradientBoosting>(fitted_boosting());
+  EXPECT_NE(dynamic_cast<const FlatForestClassifier*>(make_serving_model(boosting).get()),
+            nullptr);
 
   // Non-ensembles, unfitted ensembles, and null pass through untouched.
   auto logistic = std::make_shared<LogisticRegression>();
@@ -268,23 +262,6 @@ TEST(MakeServingModel, WrapsEnsemblesOnlyUnderFlatEngine) {
   auto unfitted = std::make_shared<RandomForest>();
   EXPECT_EQ(make_serving_model(unfitted).get(), unfitted.get());
   EXPECT_EQ(make_serving_model(nullptr), nullptr);
-
-  // Under the walker engine everything passes through.
-  set_inference_engine(InferenceEngine::kWalker);
-  EXPECT_EQ(make_serving_model(forest).get(), forest.get());
-}
-
-TEST(InferenceEngineConfig, ParseAndNameRoundTrip) {
-  EXPECT_EQ(parse_inference_engine("flat"), InferenceEngine::kFlat);
-  EXPECT_EQ(parse_inference_engine("walker"), InferenceEngine::kWalker);
-  EXPECT_EQ(parse_inference_engine("quantum"), std::nullopt);
-  EXPECT_EQ(inference_engine_name(InferenceEngine::kFlat), "flat");
-  EXPECT_EQ(inference_engine_name(InferenceEngine::kWalker), "walker");
-  const EngineGuard guard;
-  set_inference_engine(InferenceEngine::kWalker);
-  EXPECT_EQ(inference_engine(), InferenceEngine::kWalker);
-  set_inference_engine(InferenceEngine::kFlat);
-  EXPECT_EQ(inference_engine(), InferenceEngine::kFlat);
 }
 
 }  // namespace

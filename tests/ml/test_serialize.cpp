@@ -382,34 +382,39 @@ TEST(SerializeFuzz, ManifestHashCorruptionIsRejected) {
   EXPECT_THROW((void)load_random_forest(corrupt), std::runtime_error);
 }
 
-/// Restores the process-wide engine selection on scope exit.
-struct EngineGuard {
-  InferenceEngine saved = inference_engine();
-  ~EngineGuard() { set_inference_engine(saved); }
-};
-
-TEST(SerializeFile, ServingLoaderCompilesUnderFlatEngine) {
-  const EngineGuard guard;
+TEST(SerializeFile, ServingLoaderCompilesEnsemblesToFlat) {
   const std::string path = testing::TempDir() + "ssdfail_model_serving.bin";
   const Dataset train = make_task(300, 4, 23);
   RandomForest::Params params;
   params.n_trees = 5;
   RandomForest forest(params);
   forest.fit(train);
-  save_model_file(path, forest);
+  const Matrix probe = probe_matrix(100, 4, 24);
 
-  set_inference_engine(InferenceEngine::kFlat);
+  // A v2 file carries its engine manifest: it loads straight onto the
+  // flat engine, scoring bit-identically to the pointer walk.
+  save_model_file(path, forest);
   const auto serving = load_serving_classifier_file(path);
   ASSERT_NE(serving, nullptr);
   EXPECT_NE(dynamic_cast<const FlatForestClassifier*>(serving.get()), nullptr);
   EXPECT_EQ(serving->name(), "random_forest");
-  const Matrix probe = probe_matrix(100, 4, 24);
   EXPECT_EQ(serving->predict_proba(probe), forest.predict_proba(probe));
 
-  set_inference_engine(InferenceEngine::kWalker);
-  const auto walker = load_serving_classifier_file(path);
-  EXPECT_EQ(dynamic_cast<const FlatForestClassifier*>(walker.get()), nullptr);
-  EXPECT_EQ(walker->predict_proba(probe), forest.predict_proba(probe));
+  // A v1 file has no manifest: make_serving_model compiles it on load.
+  std::stringstream v2;
+  save_model(v2, forest);
+  std::string bytes = v2.str();
+  const std::uint32_t one = 1;
+  std::memcpy(bytes.data() + 4, &one, sizeof(one));
+  bytes.resize(bytes.size() - kManifestBytes);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  const auto from_v1 = load_serving_classifier_file(path);
+  ASSERT_NE(from_v1, nullptr);
+  EXPECT_NE(dynamic_cast<const FlatForestClassifier*>(from_v1.get()), nullptr);
+  EXPECT_EQ(from_v1->predict_proba(probe), forest.predict_proba(probe));
   std::remove(path.c_str());
 }
 
