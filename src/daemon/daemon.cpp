@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <utility>
 
+#include "ml/flat_forest.hpp"
 #include "ml/matrix.hpp"
 #include "ml/model_zoo.hpp"
 #include "stats/rng.hpp"
@@ -49,7 +51,8 @@ TelemetryDaemon::Shard::Shard(const DaemonConfig& config,
     : index(idx),
       ring(config.ring_capacity),
       sanitizer(robustness::SanitizerConfig{config.dead_letter_capacity, &registry}),
-      health(config.health, &registry) {}
+      health(config.health, &registry),
+      feature_row(core::FeatureExtractor::count()) {}
 
 TelemetryDaemon::TelemetryDaemon(std::shared_ptr<const ml::Classifier> model,
                                  DaemonConfig config)
@@ -160,9 +163,13 @@ void TelemetryDaemon::mark_wal_degraded(Shard& shard) {
 
 void TelemetryDaemon::recover_shard(Shard& shard) {
   const std::string path = wal_path(config_.wal_dir, shard.index);
+  // The live batch path, settled at once: recovery has nothing to overlap.
   const auto on_segment = [&](const WalSegment& segment) {
     if (segment.type == SegmentType::kRecords) {
-      process_records(shard, segment.records);
+      BatchSlot& slot = shard.slots[0];
+      prepare_batch(shard, slot, segment.records);
+      score_batch(slot);
+      finish_batch(shard, slot);
     } else {
       process_retires(shard, segment.retired_uids);
     }
@@ -226,6 +233,7 @@ void TelemetryDaemon::start() {
 void TelemetryDaemon::stop() {
   if (!running_.load()) return;
   stopping_.store(true);
+  for (auto& shard : shards_) wake(*shard);
   for (auto& shard : shards_)
     if (shard->appender.joinable()) shard->appender.join();
   if (watchdog_.joinable()) watchdog_.join();
@@ -254,6 +262,7 @@ PushResult TelemetryDaemon::push(const core::FleetObservation& obs) {
   if (result == PushResult::kAccepted) {
     ingested_.fetch_add(1, std::memory_order_relaxed);
     shard.ingested_metric->inc();
+    wake(shard);
   } else {
     shed_.fetch_add(1, std::memory_order_relaxed);
     shed_metric_->inc();
@@ -273,9 +282,12 @@ void TelemetryDaemon::retire(trace::DriveModel drive_model, std::uint32_t drive_
     process_retires(shard, uids);
     return;
   }
-  std::scoped_lock lock(shard.retire_mutex);
-  retires_queued_.fetch_add(1, std::memory_order_relaxed);
-  shard.pending_retires.push_back(uid);
+  {
+    std::scoped_lock lock(shard.retire_mutex);
+    retires_queued_.fetch_add(1, std::memory_order_relaxed);
+    shard.pending_retires.push_back(uid);
+  }
+  wake(shard);
 }
 
 void TelemetryDaemon::drain() {
@@ -322,35 +334,21 @@ void TelemetryDaemon::wal_append(Shard& shard,
   }
 }
 
-void TelemetryDaemon::process_records(Shard& shard,
-                                      std::span<const core::FleetObservation> batch) {
-  if (batch.empty()) return;
-  const std::shared_ptr<const ml::Classifier> model = current_model();
-  BatchObserver* const observer =
+void TelemetryDaemon::prepare_batch(Shard& shard, BatchSlot& slot,
+                                    std::span<const core::FleetObservation> batch) {
+  slot.model = current_model();
+  slot.observer =
       recovering_.load(std::memory_order_relaxed) ? nullptr : config_.batch_observer;
+  slot.records = batch.size();
+  slot.prepared.clear();
+  slot.rows.clear();
+  slot.scores.clear();
+  slot.clean_records.clear();
+  slot.assessments.clear();
 
   // Every record the sanitizer keeps or quarantines, in arrival order.
   // Health is observed in this order after scoring, so a drive's health
   // never depends on how its records fell into appender batches.
-  struct Prepared {
-    std::uint64_t uid;
-    std::int32_t day;
-    bool quarantined;
-    bool suspect;
-    bool dead;
-  };
-  ml::Matrix rows;
-  std::vector<float> row(core::FeatureExtractor::count());
-  std::vector<Prepared> prepared;
-  prepared.reserve(batch.size());
-  // Sanitized records and assessments, retained only when a tap listens.
-  std::vector<trace::DailyRecord> clean_records;
-  std::vector<DriveAssessment> assessments;
-  if (observer != nullptr) {
-    clean_records.reserve(batch.size());
-    assessments.reserve(batch.size());
-  }
-
   for (const core::FleetObservation& obs : batch) {
     const std::uint64_t uid = obs.uid();
     const robustness::SanitizeResult clean =
@@ -358,7 +356,7 @@ void TelemetryDaemon::process_records(Shard& shard,
     switch (clean.action) {
       case robustness::SanitizeAction::kQuarantined:
         quarantined_.fetch_add(1, std::memory_order_relaxed);
-        prepared.push_back({uid, obs.record.day, /*quarantined=*/true, false, false});
+        slot.prepared.push_back({uid, obs.record.day, /*quarantined=*/true, false, false});
         continue;
       case robustness::SanitizeAction::kDuplicateDropped:
         duplicates_.fetch_add(1, std::memory_order_relaxed);
@@ -371,20 +369,34 @@ void TelemetryDaemon::process_records(Shard& shard,
         shard.cursors.try_emplace(uid, obs.drive_model, obs.deploy_day);
     // Sanitizer guarantees strictly increasing days per uid, so this
     // cannot throw.
-    it->second.advance_and_extract(clean.record, row);
-    rows.push_row(row);
-    prepared.push_back({uid, clean.record.day, /*quarantined=*/false,
-                        clean.action == robustness::SanitizeAction::kRepaired,
-                        clean.record.dead});
-    if (observer != nullptr) clean_records.push_back(clean.record);
+    it->second.advance_and_extract(clean.record, shard.feature_row);
+    slot.rows.push_row(shard.feature_row);
+    slot.prepared.push_back({uid, clean.record.day, /*quarantined=*/false,
+                             clean.action == robustness::SanitizeAction::kRepaired,
+                             clean.record.dead});
+    if (slot.observer != nullptr) slot.clean_records.push_back(clean.record);
   }
+}
 
-  std::vector<float> scores;
-  if (model != nullptr && rows.rows() > 0) scores = model->predict_proba(rows);
+void TelemetryDaemon::score_batch(BatchSlot& slot) {
+  if (slot.model == nullptr || slot.rows.rows() == 0) return;
+  // Scores are per-row, so splitting the batch across pool tasks leaves
+  // every score bit-identical to scoring it whole.
+  if (const auto* flat = dynamic_cast<const ml::FlatForestClassifier*>(slot.model.get())) {
+    slot.scores.resize(slot.rows.rows());
+    flat->engine().submit_predict(slot.rows, slot.scores.data(), slot.scoring);
+  } else {
+    slot.scores = slot.model->predict_proba(slot.rows);
+  }
+}
+
+void TelemetryDaemon::finish_batch(Shard& shard, BatchSlot& slot) {
+  slot.scoring.wait();
+  const bool scored = slot.model != nullptr;
   std::uint64_t alerts = 0;
   std::uint64_t non_finite = 0;
   std::size_t scored_row = 0;
-  for (const Prepared& p : prepared) {
+  for (const BatchSlot::Prepared& p : slot.prepared) {
     if (p.quarantined) {
       // Irreparable telemetry is itself a symptom: a ramp-tier strike,
       // but never a swap (a corrupt record's dead flag is not trusted).
@@ -394,9 +406,9 @@ void TelemetryDaemon::process_records(Shard& shard,
     DriveAssessment assessment;
     assessment.uid = p.uid;
     assessment.day = p.day;
-    assessment.scored = model != nullptr;
+    assessment.scored = scored;
     if (assessment.scored) {
-      assessment.score = scores[scored_row];
+      assessment.score = slot.scores[scored_row];
       // A broken model must fail loud: conservative max risk, counted.
       if (!std::isfinite(assessment.score)) {
         assessment.score = 1.0f;
@@ -410,13 +422,17 @@ void TelemetryDaemon::process_records(Shard& shard,
     assessment.health =
         shard.health.observe(p.uid, assessment.score, p.suspect, p.dead);
     if (config_.on_assessment) config_.on_assessment(assessment);
-    if (observer != nullptr) assessments.push_back(assessment);
+    if (slot.observer != nullptr) slot.assessments.push_back(assessment);
   }
-  if (rows.rows() == 0) return;
-  if (observer != nullptr) observer->on_batch(rows, clean_records, assessments);
-  if (model != nullptr) {
-    scored_.fetch_add(rows.rows(), std::memory_order_relaxed);
-    scored_metric_->inc(rows.rows());
+  slot.model.reset();  // a superseded model is not pinned by an idle slot
+  publish_state(shard);
+  const std::size_t rows = slot.rows.rows();
+  if (rows == 0) return;
+  if (slot.observer != nullptr)
+    slot.observer->on_batch(slot.rows, slot.clean_records, slot.assessments);
+  if (scored) {
+    scored_.fetch_add(rows, std::memory_order_relaxed);
+    scored_metric_->inc(rows);
     alerts_.fetch_add(alerts, std::memory_order_relaxed);
     alerts_metric_->inc(alerts);
     if (non_finite > 0) {
@@ -424,6 +440,27 @@ void TelemetryDaemon::process_records(Shard& shard,
       non_finite_metric_->inc(non_finite);
     }
   }
+}
+
+void TelemetryDaemon::settle(Shard& shard) {
+  BatchSlot* const slot = std::exchange(shard.in_flight, nullptr);
+  if (slot == nullptr) return;
+  finish_batch(shard, *slot);
+  publish_processed(shard, slot->records);
+}
+
+void TelemetryDaemon::publish_state(Shard& shard) {
+  shard.drives_tracked.store(shard.cursors.size(), std::memory_order_relaxed);
+  const auto counts = shard.health.counts();
+  for (std::size_t s = 0; s < kNumHealthStates; ++s)
+    shard.health_counts[s].store(counts[s], std::memory_order_relaxed);
+}
+
+void TelemetryDaemon::publish_processed(Shard& shard, std::size_t n) {
+  // Single writer: a plain store, no read-modify-write on the hot path.
+  // Release pairs with drain()'s acquire.
+  shard.processed.store(shard.processed.load(std::memory_order_relaxed) + n,
+                        std::memory_order_release);
 }
 
 void TelemetryDaemon::process_retires(Shard& shard,
@@ -434,6 +471,7 @@ void TelemetryDaemon::process_retires(Shard& shard,
     shard.sanitizer.forget(uid);
     shard.health.retire(uid);
   }
+  publish_state(shard);
   if (config_.batch_observer != nullptr && !recovering_.load(std::memory_order_relaxed))
     config_.batch_observer->on_retired(uids);
 }
@@ -445,29 +483,74 @@ void TelemetryDaemon::appender_main(Shard& shard) {
   for (;;) {
     batch.clear();
     retires.clear();
+    // Read before the pop: every record pushed before stop() began is then
+    // in this pop or an earlier one, so an empty pop means none is left.
+    const bool stopping = stopping_.load(std::memory_order_acquire);
     shard.ring.pop_into(batch, config_.max_batch);
     {
       std::scoped_lock lock(shard.retire_mutex);
       retires.swap(shard.pending_retires);
     }
     // Promotion strike reset, applied by the thread that owns the tracker
-    // so HealthTracker needs no locking.
-    apply_pending_strike_reset(shard);
+    // so HealthTracker needs no locking, and only after the in-flight
+    // batch (popped before the promotion) has observed its scores.
+    if (shard.strike_reset_pending.load(std::memory_order_acquire)) {
+      settle(shard);
+      apply_pending_strike_reset(shard);
+    }
     if (batch.empty() && retires.empty()) {
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      std::this_thread::sleep_for(config_.poll_interval);
+      settle(shard);  // nothing stays in flight while idle or on exit
+      if (stopping) break;
+      park(shard);
       continue;
     }
     if (config_.appender_hook) config_.appender_hook(shard.index);
     wal_append(shard, batch, retires);
-    process_records(shard, batch);
-    process_retires(shard, retires);
-    // Single writer: a plain store, no read-modify-write on the hot path.
-    shard.processed.store(
-        shard.processed.load(std::memory_order_relaxed) + batch.size() + retires.size(),
-        std::memory_order_release);
+    if (!batch.empty()) {
+      // Overlap: this batch scores on the pool while the previous one
+      // settles here and the next one is popped, WAL'd and prepared.
+      BatchSlot& slot = shard.slots[shard.in_flight == &shard.slots[0] ? 1 : 0];
+      prepare_batch(shard, slot, batch);
+      score_batch(slot);
+      settle(shard);
+      shard.in_flight = &slot;
+    }
+    if (!retires.empty()) {
+      // A retire follows every record popped before it, health included.
+      settle(shard);
+      process_retires(shard, retires);
+      publish_processed(shard, retires.size());
+    }
     shard.heartbeat.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void TelemetryDaemon::park(Shard& shard) {
+  std::unique_lock lock(shard.park_mutex);
+  shard.parked.store(true, std::memory_order_seq_cst);
+  // Re-check after publishing `parked`: a producer that pushed before the
+  // store saw parked == false and sent no notification.  Anything missed
+  // anyway costs at most one poll_interval, the bounded wait below.
+  bool idle = shard.ring.empty_approx() && !stopping_.load(std::memory_order_seq_cst);
+  if (idle) {
+    std::scoped_lock retire_lock(shard.retire_mutex);
+    idle = shard.pending_retires.empty();
+  }
+  if (idle)
+    shard.park_cv.wait_for(lock, config_.poll_interval, [&shard] { return shard.woken; });
+  shard.woken = false;
+  shard.parked.store(false, std::memory_order_relaxed);
+}
+
+void TelemetryDaemon::wake(Shard& shard) {
+  if (!shard.parked.load(std::memory_order_seq_cst)) return;
+  // Under the mutex, so the flag lands either before the appender's
+  // re-check (which then skips the wait) or while it waits.
+  {
+    std::scoped_lock lock(shard.park_mutex);
+    shard.woken = true;
+  }
+  shard.park_cv.notify_one();
 }
 
 void TelemetryDaemon::watchdog_main() {
@@ -521,10 +604,9 @@ DaemonStats TelemetryDaemon::stats() const {
   out.degraded = current_model() == nullptr;
   out.wal_degraded = wal_degraded_.load();
   for (const auto& shard : shards_) {
-    out.drives_tracked += shard->cursors.size();
-    const auto counts = shard->health.counts();
+    out.drives_tracked += shard->drives_tracked.load(std::memory_order_relaxed);
     for (std::size_t s = 0; s < kNumHealthStates; ++s)
-      out.health_counts[s] += counts[s];
+      out.health_counts[s] += shard->health_counts[s].load(std::memory_order_relaxed);
   }
   return out;
 }

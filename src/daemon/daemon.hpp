@@ -7,13 +7,27 @@
 //               appender thread (one per shard)
 //                     |--> WalWriter.append(raw batch)      [durability first]
 //                     |--> RecordSanitizer                   [repair/drop/DLQ]
-//                     |--> DriveFeatureCursor + Classifier   [score]
+//                     |--> DriveFeatureCursor                [features]
+//                     |--> Classifier                        [score]
 //                     |--> HealthTracker                     [escalate/page]
 //
+// The appender is a two-stage pipeline over two reusable per-shard batch
+// slots.  prepare_batch() sanitizes and extracts batch k+1 while batch k's
+// feature rows score on the process-wide ThreadPool (score_batch(): the
+// flat engine's kTaskRows-row tasks; any other model scores on the
+// appender).  finish_batch() then settles batch k: health,
+// assessments, the observer tap and the counters in record order, after
+// which `processed` is published.  The in-flight batch is settled before
+// a pending strike reset, before retires are processed, before the
+// appender goes idle, and before it exits on stop(), so drain(), retire()
+// and set_model() see exactly the serial semantics.  TaskGroup::wait()
+// runs the slot's still-queued tasks itself, so a pool saturated by other
+// work (an online retrain) degrades to serial scoring, never a stall.
+//
 // The WAL records RAW observations before any processing, so startup
-// recovery replays them through the exact same sanitize -> advance ->
-// score -> health path and lands on bit-identical per-drive state (the
-// state_digest() invariant; pinned under real SIGKILL by
+// recovery replays them through the same prepare -> score -> finish steps
+// (settling each segment at once) and lands on bit-identical per-drive
+// state (the state_digest() invariant; pinned under real SIGKILL by
 // tests/daemon/test_crash_recovery.cpp).
 //
 // Failure posture — the daemon degrades, it does not die:
@@ -35,11 +49,13 @@
 //
 // This is the only per-record scoring pipeline: the `daemon`, `serve` and
 // `metrics` CLI commands, the online-learning loop, and the benchmark all
-// run through process_records().  Synchronous callers (serve's day-paced
-// replay) push a batch and wait on drain().
+// run through it.  Synchronous callers (serve's day-paced replay) push a
+// batch and wait on drain(); an idle appender parks until push() wakes it.
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,6 +72,7 @@
 #include "daemon/wal.hpp"
 #include "ml/classifier.hpp"
 #include "ml/matrix.hpp"
+#include "parallel/thread_pool.hpp"
 #include "robustness/record_sanitizer.hpp"
 
 namespace ssdfail::daemon {
@@ -118,7 +135,9 @@ struct DaemonConfig {
   obs::MetricsRegistry* registry = nullptr;
   std::size_t dead_letter_capacity = 64;  ///< per-shard sanitizer DLQ bound
 
-  std::chrono::milliseconds poll_interval{1};      ///< appender idle sleep
+  /// Longest an idle appender parks before re-polling its ring; push()
+  /// wakes a parked appender at once, so this only bounds a lost wake-up.
+  std::chrono::milliseconds poll_interval{1};
   std::chrono::milliseconds watchdog_interval{20};
   std::chrono::milliseconds stall_timeout{500};    ///< no progress + backlog = stall
 
@@ -210,6 +229,30 @@ class TelemetryDaemon {
   [[nodiscard]] std::uint64_t state_digest() const;
 
  private:
+  /// One batch's trip through the appender pipeline: prepared (sanitized,
+  /// featurized) on the appender, scored, then settled in record order.
+  /// Reused across batches, so the buffers keep their capacity.
+  struct BatchSlot {
+    /// A record the sanitizer kept or quarantined, in arrival order.
+    struct Prepared {
+      std::uint64_t uid;
+      std::int32_t day;
+      bool quarantined;
+      bool suspect;
+      bool dead;
+    };
+    std::vector<Prepared> prepared;
+    ml::Matrix rows;                  ///< one feature row per kept record
+    std::vector<float> scores;        ///< rows.rows() scores once settled
+    std::shared_ptr<const ml::Classifier> model;  ///< snapshot at prepare
+    BatchObserver* observer = nullptr;            ///< null during recovery
+    /// Sanitized records and assessments, retained only for the observer.
+    std::vector<trace::DailyRecord> clean_records;
+    std::vector<DriveAssessment> assessments;
+    std::size_t records = 0;          ///< records popped into this batch
+    parallel::TaskGroup scoring{parallel::ThreadPool::global()};
+  };
+
   struct Shard {
     explicit Shard(const DaemonConfig& config, obs::MetricsRegistry& registry,
                    std::uint32_t index);
@@ -224,6 +267,18 @@ class TelemetryDaemon {
     std::mutex retire_mutex;
     std::vector<std::uint64_t> pending_retires;
 
+    /// Two pipeline slots: while one scores, the other is prepared.
+    std::array<BatchSlot, 2> slots;
+    BatchSlot* in_flight = nullptr;  ///< scored, not yet settled (appender-owned)
+    std::vector<float> feature_row;  ///< extraction scratch
+
+    /// Wake-on-push: an idle appender sets `parked` and waits on park_cv
+    /// (bounded by poll_interval); push() notifies only when it is set.
+    std::mutex park_mutex;
+    std::condition_variable park_cv;
+    bool woken = false;  ///< guarded by park_mutex
+    std::atomic<bool> parked{false};
+
     std::thread appender;
     std::atomic<std::uint64_t> heartbeat{0};  ///< bumps once per busy iteration
     /// Records + retires this shard's appender has processed (drain()).
@@ -232,6 +287,11 @@ class TelemetryDaemon {
     /// Set by set_model(), consumed by the owning appender (or inline when
     /// quiesced): clear strike streaks before processing the next batch.
     std::atomic<bool> strike_reset_pending{false};
+    /// cursors.size() and health.counts() as of the last settled batch or
+    /// retire, for stats() — which may run on any thread while the
+    /// appender mutates the originals.
+    std::atomic<std::size_t> drives_tracked{0};
+    std::array<std::atomic<std::uint64_t>, kNumHealthStates> health_counts{};
 
     obs::Counter* ingested_metric = nullptr;  ///< daemon_records_ingested_total{shard=}
     obs::Gauge* depth_metric = nullptr;       ///< daemon_ring_depth{shard=}
@@ -246,8 +306,24 @@ class TelemetryDaemon {
   void maybe_rotate_wal(Shard& shard);
   void wal_append(Shard& shard, std::span<const core::FleetObservation> batch,
                   std::span<const std::uint64_t> retires);
-  void process_records(Shard& shard, std::span<const core::FleetObservation> batch);
+  /// Sanitize and featurize `batch` into `slot` (mutates cursors and the
+  /// sanitizer in record order; snapshots the model and observer).
+  void prepare_batch(Shard& shard, BatchSlot& slot,
+                     std::span<const core::FleetObservation> batch);
+  /// Start scoring a prepared slot: pool tasks for the flat engine, inline
+  /// for any other model.
+  static void score_batch(BatchSlot& slot);
+  /// Wait for the slot's scores, then apply health, assessments, the
+  /// observer tap and the counters in record order.
+  void finish_batch(Shard& shard, BatchSlot& slot);
+  /// Finish the in-flight batch, if any, and publish it as processed.
+  void settle(Shard& shard);
   void process_retires(Shard& shard, std::span<const std::uint64_t> uids);
+  static void publish_processed(Shard& shard, std::size_t n);
+  /// Refresh the shard's stats() copies of its drive and health counts.
+  static void publish_state(Shard& shard);
+  void park(Shard& shard);
+  static void wake(Shard& shard);
   void mark_wal_degraded(Shard& shard);
   void apply_pending_strike_reset(Shard& shard);
 

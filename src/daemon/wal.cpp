@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -17,17 +18,40 @@ namespace ssdfail::daemon {
 
 namespace {
 
-void put_u16(std::vector<char>& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
+/// Fixed-width little-endian stores straight into a sized buffer.
+template <typename T>
+void store_le(char* dst, T v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      dst[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
 }
 
-void put_u32(std::vector<char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(std::vector<char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+/// Encode one observation as kWalRecordSize payload bytes at `p` — the
+/// single definition of the record layout parse_record_payload reads.
+void store_record(char* p, const core::FleetObservation& obs) noexcept {
+  p[0] = static_cast<char>(obs.drive_model);
+  p[1] = static_cast<char>((obs.record.read_only ? 1 : 0) | (obs.record.dead ? 2 : 0));
+  store_le<std::uint16_t>(p + 2, obs.record.factory_bad_blocks);
+  store_le<std::uint32_t>(p + 4, obs.drive_index);
+  store_le(p + 8, static_cast<std::uint32_t>(obs.deploy_day));
+  store_le(p + 12, static_cast<std::uint32_t>(obs.record.day));
+  store_le<std::uint32_t>(p + 16, obs.record.reads);
+  store_le<std::uint32_t>(p + 20, obs.record.writes);
+  store_le<std::uint32_t>(p + 24, obs.record.erases);
+  store_le<std::uint32_t>(p + 28, obs.record.pe_cycles);
+  store_le<std::uint32_t>(p + 32, obs.record.bad_blocks);
+  char* at = p + 36;
+  for (const std::uint32_t e : obs.record.errors) {
+    store_le(at, e);
+    at += 4;
+  }
+  for (const trace::RecordCounterField& f : trace::kExtCounterFields) {
+    store_le<std::uint32_t>(at, obs.record.*f.field);
+    at += 4;
+  }
 }
 
 std::uint16_t get_u16(const char* p) {
@@ -162,21 +186,9 @@ void WalReplayStats::merge(const WalReplayStats& other) noexcept {
 }
 
 void append_record_payload(std::vector<char>& out, const core::FleetObservation& obs) {
-  out.push_back(static_cast<char>(obs.drive_model));
-  out.push_back(static_cast<char>((obs.record.read_only ? 1 : 0) |
-                                  (obs.record.dead ? 2 : 0)));
-  put_u16(out, obs.record.factory_bad_blocks);
-  put_u32(out, obs.drive_index);
-  put_u32(out, static_cast<std::uint32_t>(obs.deploy_day));
-  put_u32(out, static_cast<std::uint32_t>(obs.record.day));
-  put_u32(out, obs.record.reads);
-  put_u32(out, obs.record.writes);
-  put_u32(out, obs.record.erases);
-  put_u32(out, obs.record.pe_cycles);
-  put_u32(out, obs.record.bad_blocks);
-  for (std::uint32_t e : obs.record.errors) put_u32(out, e);
-  for (const trace::RecordCounterField& f : trace::kExtCounterFields)
-    put_u32(out, obs.record.*f.field);
+  const std::size_t at = out.size();
+  out.resize(at + kWalRecordSize);
+  store_record(out.data() + at, obs);
 }
 
 core::FleetObservation parse_record_payload(const char* p) {
@@ -219,13 +231,13 @@ WalWriter::WalWriter(std::string path, std::uint32_t shard, FsyncPolicy fsync,
     // Fresh (or alien) file: write the header from scratch.
     if (::ftruncate(fd_, 0) != 0)
       throw std::runtime_error("wal: cannot truncate " + path_);
-    std::vector<char> header;
-    put_u32(header, kWalMagic);
-    put_u32(header, kWalVersion);
-    put_u32(header, shard);
-    put_u32(header, 0);  // reserved, must be zero
-    write_all(fd_, header.data(), header.size(), path_);
-    bytes_ = header.size();
+    char header[kWalFileHeaderSize];
+    store_le(header, kWalMagic);
+    store_le(header + 4, kWalVersion);
+    store_le(header + 8, shard);
+    store_le<std::uint32_t>(header + 12, 0);  // reserved, must be zero
+    write_all(fd_, header, sizeof(header), path_);
+    bytes_ = sizeof(header);
   } else {
     // Resume: drop the torn/corrupt tail so the next append starts at a
     // clean boundary, and continue the seq chain past the durable log.
@@ -242,20 +254,28 @@ WalWriter::~WalWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::uint64_t WalWriter::append_segment(SegmentType type, std::uint32_t count,
-                                        std::span<const char> payload) {
+char* WalWriter::begin_segment(std::size_t payload_bytes) {
+  // The buffer only grows: a smaller segment reuses it without re-zeroing.
+  frame_len_ = kWalSegmentHeaderSize + payload_bytes;
+  if (frame_.size() < frame_len_) frame_.resize(frame_len_);
+  return frame_.data() + kWalSegmentHeaderSize;
+}
+
+std::uint64_t WalWriter::commit_segment(SegmentType type, std::uint32_t count) {
   const std::uint64_t seq = next_seq_++;
-  std::vector<char> frame;
-  frame.reserve(kWalSegmentHeaderSize + payload.size());
-  put_u32(frame, kSegmentMarker);
-  put_u64(frame, seq);
-  put_u32(frame, static_cast<std::uint32_t>(type));
-  put_u32(frame, count);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  std::uint32_t crc = store::crc32(0, std::span<const char>(frame).subspan(4, 20));
-  crc = store::crc32(crc, payload);
-  put_u32(frame, crc);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  const std::size_t payload_bytes = frame_len_ - kWalSegmentHeaderSize;
+  char* const h = frame_.data();
+  store_le(h, kSegmentMarker);
+  store_le(h + 4, seq);
+  store_le(h + 12, static_cast<std::uint32_t>(type));
+  store_le(h + 16, count);
+  store_le(h + 20, static_cast<std::uint32_t>(payload_bytes));
+  // CRC over everything after the marker except the CRC field itself:
+  // header bytes [4, 24) then the payload.
+  const std::span<const char> frame(frame_.data(), frame_len_);
+  std::uint32_t crc = store::crc32(0, frame.subspan(4, 20));
+  crc = store::crc32(crc, frame.subspan(kWalSegmentHeaderSize));
+  store_le(h + 24, crc);
   write_all(fd_, frame.data(), frame.size(), path_);
   if (fsync_ == FsyncPolicy::kEverySegment) sync();
   ++segments_;
@@ -264,19 +284,21 @@ std::uint64_t WalWriter::append_segment(SegmentType type, std::uint32_t count,
 }
 
 std::uint64_t WalWriter::append(std::span<const core::FleetObservation> batch) {
-  std::vector<char> payload;
-  payload.reserve(batch.size() * kWalRecordSize);
-  for (const core::FleetObservation& obs : batch) append_record_payload(payload, obs);
-  return append_segment(SegmentType::kRecords,
-                        static_cast<std::uint32_t>(batch.size()), payload);
+  char* payload = begin_segment(batch.size() * kWalRecordSize);
+  for (const core::FleetObservation& obs : batch) {
+    store_record(payload, obs);
+    payload += kWalRecordSize;
+  }
+  return commit_segment(SegmentType::kRecords, static_cast<std::uint32_t>(batch.size()));
 }
 
 std::uint64_t WalWriter::append_retires(std::span<const std::uint64_t> uids) {
-  std::vector<char> payload;
-  payload.reserve(uids.size() * 8);
-  for (std::uint64_t uid : uids) put_u64(payload, uid);
-  return append_segment(SegmentType::kRetires, static_cast<std::uint32_t>(uids.size()),
-                        payload);
+  char* payload = begin_segment(uids.size() * 8);
+  for (const std::uint64_t uid : uids) {
+    store_le(payload, uid);
+    payload += 8;
+  }
+  return commit_segment(SegmentType::kRetires, static_cast<std::uint32_t>(uids.size()));
 }
 
 void WalWriter::sync() {

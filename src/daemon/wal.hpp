@@ -86,7 +86,8 @@ struct WalReplayStats {
   void merge(const WalReplayStats& other) noexcept;
 };
 
-/// Serialize observations/uids exactly as a kRecords/kRetires payload
+/// Serialize one observation exactly as a kRecords payload entry, and
+/// parse it back: the record codec WalWriter frames with and replay reads
 /// (exposed for the fuzz suite to build hostile images byte-by-byte).
 void append_record_payload(std::vector<char>& out, const core::FleetObservation& obs);
 [[nodiscard]] core::FleetObservation parse_record_payload(const char* bytes);
@@ -129,10 +130,16 @@ class WalWriter {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  std::uint64_t append_segment(SegmentType type, std::uint32_t count,
-                               std::span<const char> payload);
+  /// Size the reused frame buffer for one segment; returns where its
+  /// payload goes (encoders store into it directly, no staging copy).
+  char* begin_segment(std::size_t payload_bytes);
+  /// Fill the 28-byte header and CRC in place, then write the whole frame
+  /// with one write() call.
+  std::uint64_t commit_segment(SegmentType type, std::uint32_t count);
 
   std::string path_;
+  std::vector<char> frame_;     ///< reused frame buffer; only ever grows
+  std::size_t frame_len_ = 0;   ///< bytes of frame_ the current segment uses
   int fd_ = -1;
   FsyncPolicy fsync_;
   std::uint64_t next_seq_ = 1;

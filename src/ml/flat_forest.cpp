@@ -197,22 +197,21 @@ inline std::uint32_t walk_step(const char* nodes, const float* row,
          (static_cast<std::uint32_t>(!(v <= node.threshold)) << kNodeShift);
 }
 
-/// Walk one tree for `NB` rows at fixed depth, accumulating leaf values.
-/// NB is a compile-time constant so the inner step fully unrolls and the
-/// NB offset chains stay in registers — they are independent, so the CPU
-/// overlaps their (dependent) node loads across rows.
-template <std::size_t NB>
-inline void walk_tree(const char* nodes, const float* const* row_of,
-                      std::uint32_t root, std::uint32_t depth, const double* values,
-                      double* acc) {
+/// Walk one tree for `groups` groups of kGroupRows rows at fixed depth,
+/// accumulating leaf values.  The group width is a compile-time constant
+/// so the inner step fully unrolls and the group's offset chains stay in
+/// registers — they are independent, so the CPU overlaps their (dependent)
+/// node loads across rows.
+inline void walk_groups(const char* nodes, const float* const* row_of, std::size_t groups,
+                        std::uint32_t root, std::uint32_t depth, const double* values,
+                        double* acc) {
   // Groups of 16: the offsets and row pointers stay (mostly) register-
   // resident across the whole depth loop instead of round-tripping
   // through stack arrays each level, and 16 independent step chains hide
   // the dependent-load latency.  Measured ~25% faster than groups of 8;
   // 32 spills and loses it all.
-  constexpr std::size_t kGroup = 16;
-  static_assert(NB % kGroup == 0);
-  for (std::size_t g = 0; g < NB; g += kGroup) {
+  constexpr std::size_t kGroup = FlatForest::kGroupRows;
+  for (std::size_t g = 0; g < groups * kGroup; g += kGroup) {
     std::uint32_t cur[kGroup];
     const float* rp[kGroup];
     for (std::size_t r = 0; r < kGroup; ++r) {
@@ -227,11 +226,11 @@ inline void walk_tree(const char* nodes, const float* const* row_of,
   }
 }
 
-/// Runtime-width tail (fewer than kBlock rows left).
-inline void walk_tree_tail(const char* nodes, const float* const* row_of,
-                           std::size_t nb, std::uint32_t root, std::uint32_t depth,
-                           const double* values, double* acc) {
-  std::uint32_t cur[FlatForest::kBlockRows];
+/// Runtime-width tail (fewer than kGroupRows rows left in the block).
+inline void walk_tail(const char* nodes, const float* const* row_of, std::size_t nb,
+                      std::uint32_t root, std::uint32_t depth, const double* values,
+                      double* acc) {
+  std::uint32_t cur[FlatForest::kGroupRows];
   for (std::size_t r = 0; r < nb; ++r) cur[r] = root;
   for (std::uint32_t d = 0; d < depth; ++d)
     for (std::size_t r = 0; r < nb; ++r) cur[r] = walk_step(nodes, row_of[r], cur[r]);
@@ -259,13 +258,15 @@ void FlatForest::predict_into(const Matrix& x, std::size_t begin, std::size_t co
       row_of[r] = data + (begin + b + r) * cols;
       acc[r] = bias_;
     }
+    // Whole 16-row groups take the unrolled kernel at any block width;
+    // only the last < 16 rows of a block take the runtime-width tail.
+    const std::size_t groups = nb / kGroupRows;
+    const std::size_t tail = groups * kGroupRows;
     for (std::size_t t = 0; t < roots_.size(); ++t) {
-      if (nb == kBlockRows)
-        walk_tree<kBlockRows>(nodes, row_of, static_cast<std::uint32_t>(roots_[t]),
-                              depths_[t], values, acc);
-      else
-        walk_tree_tail(nodes, row_of, nb, static_cast<std::uint32_t>(roots_[t]),
-                       depths_[t], values, acc);
+      const auto root = static_cast<std::uint32_t>(roots_[t]);
+      walk_groups(nodes, row_of, groups, root, depths_[t], values, acc);
+      if (tail < nb)
+        walk_tail(nodes, row_of + tail, nb - tail, root, depths_[t], values, acc + tail);
     }
     finalize_block(acc, nb, out + b);
   }
@@ -298,16 +299,20 @@ std::vector<float> FlatForest::predict_proba(const Matrix& x,
     predict_into(x, 0, rows, out.data());
     return out;
   }
-  constexpr std::size_t kParChunk = 256;
-  const std::size_t n_chunks = (rows + kParChunk - 1) / kParChunk;
-  parallel::parallel_for(
-      n_chunks,
-      [&](std::size_t c) {
-        const std::size_t begin = c * kParChunk;
-        predict_into(x, begin, std::min(kParChunk, rows - begin), out.data() + begin);
-      },
-      pool);
+  parallel::TaskGroup group(pool);
+  submit_predict(x, out.data(), group);
+  group.wait();
   return out;
+}
+
+void FlatForest::submit_predict(const Matrix& x, float* out,
+                                parallel::TaskGroup& group) const {
+  if (empty()) throw std::logic_error("FlatForest: predict before compile");
+  const std::size_t rows = x.rows();
+  for (std::size_t begin = 0; begin < rows; begin += kTaskRows) {
+    const std::size_t count = std::min(kTaskRows, rows - begin);
+    group.submit([this, &x, begin, count, out] { predict_into(x, begin, count, out + begin); });
+  }
 }
 
 std::uint64_t FlatForest::structural_hash() const noexcept {

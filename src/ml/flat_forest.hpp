@@ -22,6 +22,20 @@
 //   - Scoring walks BLOCKS of rows per tree (instead of all trees per
 //     row): the tree's hot top levels stay in L1 across the block and the
 //     per-row index chains are independent, so the CPU overlaps them.
+//   - Any-width kernel: a block of any width is walked as whole 16-row
+//     groups (kGroupRows, a fully unrolled, register-resident step chain);
+//     only a block's last < 16 rows take the runtime-width tail.  So a
+//     32-row call runs two unrolled groups, exactly like a 128-row block.
+//
+// Split policy (the one way a batch is cut for the pool): submit_predict()
+// cuts a matrix into kTaskRows-row predict_into tasks on a caller-owned
+// TaskGroup.  predict_proba()'s parallel path is that helper plus wait();
+// the telemetry daemon's appender submits a batch with it and settles the
+// batch a pipeline step later.  32 rows = two kernel groups: the daemon's
+// 256-row batches spread over eight tasks, enough to keep idle cores fed
+// while staying above pool dispatch cost (in a 16..256-row sweep of the
+// ingest benchmark, 32 was fastest, 16 close, 64 and up slower;
+// docs/BENCHMARKS.md).
 //
 // Bit-identity contract: for every input, FlatForest reproduces the
 // pointer-walk path EXACTLY — same comparison (v <= threshold, so NaN
@@ -109,15 +123,23 @@ class FlatForest {
 
   /// Score every row of `x`.  Bit-identical to the walker path.  Batches
   /// below kSerialPredictRows (or a 1-wide pool) score serially — the
-  /// single-drive observe path must not pay pool overhead.
+  /// single-drive observe path must not pay pool overhead; larger ones go
+  /// through submit_predict() and wait.
   [[nodiscard]] std::vector<float> predict_proba(
       const Matrix& x,
       parallel::ThreadPool& pool = parallel::ThreadPool::current()) const;
 
   /// Score rows [begin, begin + count) of `x` into `out` (size count),
-  /// serially.  The chunk scorer and the parallel path both drive this.
+  /// serially, at any width.  The chunk scorer and the pool tasks both
+  /// drive this.
   void predict_into(const Matrix& x, std::size_t begin, std::size_t count,
                     float* out) const;
+
+  /// Submit kTaskRows-row predict_into tasks covering every row of `x` to
+  /// `group`; `out` holds x.rows() scores once group.wait() returns.  `x`,
+  /// `out` and this engine must outlive the wait.  Scores are per-row, so
+  /// they are bit-identical to predict_into over the whole matrix.
+  void submit_predict(const Matrix& x, float* out, parallel::TaskGroup& group) const;
 
   /// Score one row (the degraded / spot-check path).
   [[nodiscard]] float predict_row(std::span<const float> row) const;
@@ -138,8 +160,15 @@ class FlatForest {
   /// Below this many rows predict_proba stays on the calling thread.
   static constexpr std::size_t kSerialPredictRows = 64;
 
-  /// Rows walked per tree in one block (the register-resident index set).
+  /// Rows walked per tree in one block (the span a tree's top levels stay
+  /// cached across).
   static constexpr std::size_t kBlockRows = 128;
+
+  /// Rows per unrolled kernel group (the register-resident index set).
+  static constexpr std::size_t kGroupRows = 16;
+
+  /// Rows per pool task in submit_predict(): two kernel groups.
+  static constexpr std::size_t kTaskRows = 2 * kGroupRows;
 
  private:
   friend struct FlatForestCompiler;

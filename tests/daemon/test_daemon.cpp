@@ -4,7 +4,9 @@
 // the only per-record scoring pipeline, so the serving contract is pinned
 // here too: the non-finite score clamp, hot model swaps, chaos accounting,
 // shard/producer independence, streaming-vs-batch feature parity, drain(),
-// and drain-then-retire ordering.
+// and drain-then-retire ordering.  The appender pipeline's settle points
+// (strike reset, retire, stop), the tap's record order, and progress on a
+// saturated pool close the file.
 
 #include "daemon/daemon.hpp"
 
@@ -12,10 +14,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -25,6 +30,7 @@
 #include "daemon_test_util.hpp"
 #include "ml/downsample.hpp"
 #include "ml/model_zoo.hpp"
+#include "parallel/thread_pool.hpp"
 #include "robustness/fault_injector.hpp"
 #include "sim/fleet_simulator.hpp"
 
@@ -850,6 +856,276 @@ TEST(TelemetryDaemon, DrainThenRetireMatchesQuiescedReplay) {
     live.stop();
     ASSERT_EQ(live.state_digest(), expected) << "repetition " << rep;
   }
+}
+
+// --- The appender pipeline's settle points --------------------------------
+
+/// Scores every row `score`.  A gated model blocks its first predict_proba
+/// call until release(), so a test can act while that batch is being
+/// scored — and, once scoring returns, is in flight on the appender.
+class GateModel final : public ml::Classifier {
+ public:
+  explicit GateModel(float score, bool gated = true) : score_(score), released_(!gated) {}
+  void fit(const ml::Dataset&) override {}
+  [[nodiscard]] std::vector<float> predict_proba(const ml::Matrix& x) const override {
+    std::unique_lock lock(mutex_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return std::vector<float>(x.rows(), score_);
+  }
+  [[nodiscard]] std::string name() const override { return "gate"; }
+  [[nodiscard]] std::unique_ptr<ml::Classifier> clone() const override {
+    return std::make_unique<GateModel>(score_, /*gated=*/false);
+  }
+  void wait_entered() const {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void release() {
+    {
+      std::scoped_lock lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  float score_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
+  bool released_;
+};
+
+/// Records the tap's callbacks in arrival order; thread-safe.
+struct EventLog final : BatchObserver {
+  std::mutex mutex;
+  std::vector<std::string> events;
+  std::vector<DriveDay> records;  ///< every record the tap saw, in order
+  ml::Matrix features;            ///< every feature row, in order
+  std::vector<float> scores;      ///< every assessment score, in order
+  bool aligned = true;            ///< records, rows and assessments line up
+
+  void on_batch(const ml::Matrix& batch, std::span<const trace::DailyRecord> recs,
+                std::span<const DriveAssessment> assessments) override {
+    std::scoped_lock lock(mutex);
+    events.push_back("batch:" + std::to_string(recs.size()));
+    aligned = aligned && batch.rows() == recs.size() && recs.size() == assessments.size();
+    for (std::size_t i = 0; i < assessments.size(); ++i) {
+      aligned = aligned && assessments[i].day == recs[i].day;
+      records.emplace_back(assessments[i].uid, assessments[i].day);
+      scores.push_back(assessments[i].score);
+    }
+    features.append_rows(batch);
+  }
+  void on_retired(std::span<const std::uint64_t> uids) override {
+    std::scoped_lock lock(mutex);
+    for (const std::uint64_t uid : uids) events.push_back("retire:" + std::to_string(uid));
+  }
+};
+
+/// One-shard config whose first busy iteration waits for `hold` to clear,
+/// so everything pushed before that arrives as one batch.
+DaemonConfig held_config(obs::MetricsRegistry& registry, std::atomic<bool>& hold) {
+  auto cfg = base_config("", &registry);
+  cfg.shards = 1;
+  cfg.block_timeout = std::chrono::seconds(30);
+  cfg.appender_hook = [&hold](std::uint32_t) {
+    while (hold.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  return cfg;
+}
+
+TEST(TelemetryDaemon, StrikeResetWaitsForInFlightBatch) {
+  // Day 0 earns every drive an alert strike under the old model; the
+  // promotion arrives while day 0 is in flight.  Settling day 0 first means
+  // the reset clears those strikes, so day 1 starts a fresh streak and
+  // nobody pages — exactly the quiesced order: day 0, reset, day 1.
+  const auto stream = make_stream(4, 2);
+  const std::span<const core::FleetObservation> day0(stream.data(), 4);
+  const std::span<const core::FleetObservation> day1(stream.data() + 4, 4);
+  constexpr float kAlertScore = 0.95f;  // >= HealthConfig::alert_threshold
+
+  obs::MetricsRegistry registry;
+  std::atomic<bool> hold{true};
+  auto gate = std::make_shared<GateModel>(kAlertScore);
+  TelemetryDaemon live(gate, held_config(registry, hold));
+  live.start();
+  for (const auto& obs : day0) ASSERT_EQ(live.push(obs), PushResult::kAccepted);
+  hold.store(false, std::memory_order_release);
+  gate->wait_entered();
+  live.set_model(std::make_shared<GateModel>(kAlertScore, /*gated=*/false));
+  gate->release();
+  live.drain();
+  for (const auto& obs : day1) ASSERT_EQ(live.push(obs), PushResult::kAccepted);
+  live.stop();
+  // Every drive had a streak to clear when the reset ran.
+  EXPECT_EQ(registry.counter("daemon_strike_resets_total").value(), 4u);
+  EXPECT_EQ(live.stats().health_counts[static_cast<std::size_t>(HealthState::kAlert)], 0u);
+
+  obs::MetricsRegistry ref_registry;
+  auto cfg = base_config("", &ref_registry);
+  cfg.shards = 1;
+  TelemetryDaemon reference(std::make_shared<GateModel>(kAlertScore, false), cfg);
+  reference.start();
+  for (const auto& obs : day0) ASSERT_EQ(reference.push(obs), PushResult::kAccepted);
+  reference.stop();
+  reference.set_model(std::make_shared<GateModel>(kAlertScore, false));  // inline reset
+  reference.start();
+  for (const auto& obs : day1) ASSERT_EQ(reference.push(obs), PushResult::kAccepted);
+  reference.stop();
+  EXPECT_EQ(live.state_digest(), reference.state_digest());
+}
+
+TEST(TelemetryDaemon, RetireSettlesInFlightBatchFirst) {
+  // A retire queued while a batch is in flight runs after that batch's
+  // health and tap: the swap is the drive's last event.
+  const auto stream = make_stream(4, 1);
+  obs::MetricsRegistry registry;
+  std::atomic<bool> hold{true};
+  EventLog log;
+  auto cfg = held_config(registry, hold);
+  cfg.batch_observer = &log;
+  auto gate = std::make_shared<GateModel>(0.95f);
+  TelemetryDaemon live(gate, cfg);
+  live.start();
+  for (const auto& obs : stream) ASSERT_EQ(live.push(obs), PushResult::kAccepted);
+  hold.store(false, std::memory_order_release);
+  gate->wait_entered();
+  live.retire(trace::DriveModel::MlcA, 0);
+  gate->release();
+  live.drain();
+  const std::vector<std::string> expected{"batch:4",
+                                          "retire:" + std::to_string(stream[0].uid())};
+  {
+    std::scoped_lock lock(log.mutex);
+    EXPECT_EQ(log.events, expected);
+  }
+  live.stop();
+
+  obs::MetricsRegistry ref_registry;
+  auto ref_cfg = base_config("", &ref_registry);
+  ref_cfg.shards = 1;
+  TelemetryDaemon reference(std::make_shared<GateModel>(0.95f, false), ref_cfg);
+  reference.start();
+  for (const auto& obs : stream) ASSERT_EQ(reference.push(obs), PushResult::kAccepted);
+  reference.stop();
+  reference.retire(trace::DriveModel::MlcA, 0);  // quiesced: inline
+  EXPECT_EQ(live.state_digest(), reference.state_digest());
+}
+
+TEST(TelemetryDaemon, StopSettlesInFlightBatch) {
+  // stop() begins while a batch is in flight; the appender settles it
+  // before exiting, so every accepted record is scored and assessed.
+  const auto stream = make_stream(5, 1);
+  obs::MetricsRegistry registry;
+  std::atomic<bool> hold{true};
+  EventLog log;
+  auto cfg = held_config(registry, hold);
+  cfg.ring_capacity = 1024;
+  cfg.backpressure = Backpressure::kShed;  // a probe must never block
+  cfg.batch_observer = &log;
+  std::atomic<std::size_t> assessed{0};
+  cfg.on_assessment = [&assessed](const DriveAssessment&) { ++assessed; };
+  auto gate = std::make_shared<GateModel>(0.2f);
+  TelemetryDaemon live(gate, cfg);
+  live.start();
+  for (const auto& obs : stream) ASSERT_EQ(live.push(obs), PushResult::kAccepted);
+  hold.store(false, std::memory_order_release);
+  gate->wait_entered();
+  std::thread stopper([&live] { live.stop(); });
+  // Probe with a fresh drive's next day until a push is rejected, which
+  // proves stop() has begun.  Accepted probes are scored like any record.
+  core::FleetObservation probe = stream[0];
+  probe.drive_index = 99;
+  while (live.push(probe) != PushResult::kRejected) {
+    ++probe.record.day;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  gate->release();
+  stopper.join();
+
+  const DaemonStats stats = live.stats();
+  EXPECT_GE(stats.ingested, stream.size());
+  EXPECT_EQ(stats.scored, stats.ingested);
+  EXPECT_EQ(assessed.load(), stats.ingested);
+  std::scoped_lock lock(log.mutex);
+  ASSERT_FALSE(log.events.empty());
+  EXPECT_EQ(log.events.front(), "batch:5");
+  EXPECT_EQ(log.records.size(), stats.ingested);
+}
+
+TEST(TelemetryDaemon, ObserverSeesBatchesInRecordOrder) {
+  // Small batches keep the pipeline full (one scoring on the pool, the
+  // next being prepared); the tap must still see one shard's records in
+  // arrival order, each row next to its own bit-identical score.
+  const auto stream = replay_stream(2);
+  obs::MetricsRegistry registry;
+  EventLog log;
+  auto cfg = base_config("", &registry);
+  cfg.shards = 1;
+  cfg.max_batch = 40;
+  cfg.block_timeout = std::chrono::seconds(30);
+  cfg.batch_observer = &log;
+  TelemetryDaemon daemon(fitted_forest(), cfg);
+  daemon.start();
+  for (const auto& obs : stream) ASSERT_EQ(daemon.push(obs), PushResult::kAccepted);
+  daemon.stop();
+
+  std::vector<DriveDay> expected;
+  expected.reserve(stream.size());
+  for (const auto& obs : stream) expected.emplace_back(obs.uid(), obs.record.day);
+  EXPECT_TRUE(log.aligned);
+  EXPECT_EQ(log.records, expected);
+  EXPECT_GT(log.events.size(), stream.size() / cfg.max_batch);
+  const std::vector<float> walker = fitted_forest()->predict_proba(log.features);
+  ASSERT_EQ(walker.size(), log.scores.size());
+  for (std::size_t i = 0; i < walker.size(); ++i)
+    ASSERT_EQ(log.scores[i], walker[i]) << "row " << i;
+}
+
+TEST(TelemetryDaemon, ScoringProgressesWhilePoolIsSaturated) {
+  // Every pool worker is parked in an unrelated task (an online retrain,
+  // say).  The appenders must score their own queued tasks and drain.
+  const auto stream = replay_stream(2);
+  const Replay reference = replay(fitted_forest(), stream, 2);
+
+  parallel::ThreadPool& pool = parallel::ThreadPool::global();
+  std::atomic<unsigned> parked{0};
+  std::atomic<bool> release{false};
+  parallel::TaskGroup blockers(pool);
+  for (unsigned w = 0; w < pool.size(); ++w)
+    blockers.submit([&parked, &release] {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  while (parked.load() < pool.size()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  obs::MetricsRegistry registry;
+  auto cfg = base_config("", &registry);
+  cfg.block_timeout = std::chrono::seconds(30);
+  ScoreSink sink;
+  sink.attach(cfg);
+  TelemetryDaemon daemon(fitted_forest(), cfg);
+  daemon.start();
+  std::atomic<bool> drained{false};
+  std::thread producer([&] {
+    for (const auto& obs : stream) (void)daemon.push(obs);
+    daemon.drain();
+    drained.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!drained.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(drained.load()) << "drain() stalled behind a saturated pool";
+  release.store(true);
+  producer.join();
+  blockers.wait();
+  daemon.stop();
+  EXPECT_EQ(daemon.stats().scored, stream.size());
+  EXPECT_EQ(sink.scores, reference.scores);
 }
 
 }  // namespace

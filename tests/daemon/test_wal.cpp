@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <span>
 #include <vector>
 
 #include "daemon_test_util.hpp"
@@ -94,6 +95,129 @@ TEST(Wal, RecordPayloadPreservesEveryField) {
   EXPECT_EQ(back.drive_index, obs.drive_index);
   EXPECT_EQ(back.deploy_day, obs.deploy_day);
   EXPECT_EQ(back.record, obs.record);
+}
+
+/// The WAL byte layout written out one byte at a time, independently of
+/// the writer's in-place framing: little-endian pushes and a bitwise CRC.
+struct ReferenceFramer {
+  std::vector<char> bytes;
+
+  void u8(std::uint32_t v) { bytes.push_back(static_cast<char>(v & 0xFF)); }
+  void u16(std::uint32_t v) {
+    for (int i = 0; i < 2; ++i) u8(v >> (8 * i));
+  }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) u8(v >> (8 * i));
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint32_t>(v >> (8 * i)));
+  }
+
+  static std::uint32_t crc(std::uint32_t c, const char* p, std::size_t n) {
+    c ^= 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= static_cast<std::uint8_t>(p[i]);
+      for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return c ^ 0xFFFFFFFFu;
+  }
+
+  void segment(std::uint64_t seq, SegmentType type, std::uint32_t count,
+               const std::vector<char>& payload) {
+    const std::size_t at = bytes.size();
+    u32(kSegmentMarker);
+    u64(seq);
+    u32(static_cast<std::uint32_t>(type));
+    u32(count);
+    u32(static_cast<std::uint32_t>(payload.size()));
+    std::uint32_t c = crc(0, bytes.data() + at + 4, 20);
+    c = crc(c, payload.data(), payload.size());
+    u32(c);
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+  }
+
+  static std::vector<char> records(std::span<const core::FleetObservation> batch) {
+    ReferenceFramer out;
+    for (const core::FleetObservation& obs : batch) {
+      out.u8(static_cast<std::uint32_t>(obs.drive_model));
+      out.u8((obs.record.read_only ? 1u : 0u) | (obs.record.dead ? 2u : 0u));
+      out.u16(obs.record.factory_bad_blocks);
+      out.u32(obs.drive_index);
+      out.u32(static_cast<std::uint32_t>(obs.deploy_day));
+      out.u32(static_cast<std::uint32_t>(obs.record.day));
+      out.u32(obs.record.reads);
+      out.u32(obs.record.writes);
+      out.u32(obs.record.erases);
+      out.u32(obs.record.pe_cycles);
+      out.u32(obs.record.bad_blocks);
+      for (const std::uint32_t e : obs.record.errors) out.u32(e);
+      for (const trace::RecordCounterField& f : trace::kExtCounterFields)
+        out.u32(obs.record.*f.field);
+    }
+    return out.bytes;
+  }
+};
+
+/// A seeded batch with every payload field (flags, negative days, the
+/// extension counters) drawn at random.
+std::vector<core::FleetObservation> seeded_batch(std::size_t n, std::uint64_t seed) {
+  std::uint64_t state = seed;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(state >> 32);
+  };
+  std::vector<core::FleetObservation> batch(n);
+  for (core::FleetObservation& obs : batch) {
+    obs.drive_model = static_cast<trace::DriveModel>(next() % trace::kNumModels);
+    obs.drive_index = next();
+    obs.deploy_day = static_cast<std::int32_t>(next());
+    obs.record.day = static_cast<std::int32_t>(next());
+    obs.record.reads = next();
+    obs.record.writes = next();
+    obs.record.erases = next();
+    obs.record.pe_cycles = next();
+    obs.record.bad_blocks = next();
+    obs.record.factory_bad_blocks = static_cast<std::uint16_t>(next());
+    obs.record.read_only = (next() & 1) != 0;
+    obs.record.dead = (next() & 1) != 0;
+    for (auto& e : obs.record.errors) e = next();
+    for (const trace::RecordCounterField& f : trace::kExtCounterFields)
+      obs.record.*f.field = next();
+  }
+  return batch;
+}
+
+TEST(Wal, FramedImageIsByteIdenticalToReferenceEncoder) {
+  TempDir dir("framing");
+  const std::string path = wal_path(dir.path(), 3);
+  const auto big = seeded_batch(256, 14);
+  const auto small = seeded_batch(37, 15);  // reuses the grown frame buffer
+  const std::vector<std::uint64_t> uids{big[0].uid(), 0xFFFFFFFFFFFFFFFFull, 42};
+  {
+    WalWriter writer(path, 3, FsyncPolicy::kNever);
+    writer.append(big);
+    writer.append_retires(uids);
+    writer.append(small);
+    writer.append(std::span<const core::FleetObservation>(big).subspan(0, 1));
+  }
+  ReferenceFramer expected;
+  expected.u32(kWalMagic);
+  expected.u32(kWalVersion);
+  expected.u32(3);
+  expected.u32(0);
+  expected.segment(1, SegmentType::kRecords, 256, ReferenceFramer::records(big));
+  ReferenceFramer retires;
+  for (const std::uint64_t uid : uids) retires.u64(uid);
+  expected.segment(2, SegmentType::kRetires, 3, retires.bytes);
+  expected.segment(3, SegmentType::kRecords, 37, ReferenceFramer::records(small));
+  expected.segment(4, SegmentType::kRecords, 1,
+                   ReferenceFramer::records(std::span(big).subspan(0, 1)));
+  EXPECT_EQ(read_bytes(path), expected.bytes);
+
+  // The shared codec agrees with the framing, record by record.
+  std::vector<char> payload;
+  for (const core::FleetObservation& obs : small) append_record_payload(payload, obs);
+  EXPECT_EQ(payload, ReferenceFramer::records(small));
 }
 
 TEST(Wal, TornTailIsTruncatedNotFatal) {

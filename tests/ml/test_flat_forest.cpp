@@ -1,6 +1,7 @@
-// Compiled flat-forest engine: bit-identity with the pointer-walk path,
-// the frozen NaN routing contract, the serial small-batch cutoff, and the
-// Classifier wrapper / serving-model factory semantics.
+// Compiled flat-forest engine: bit-identity with the pointer-walk path at
+// every kernel width and task split, the frozen NaN routing contract, the
+// serial small-batch cutoff, and the Classifier wrapper / serving-model
+// factory semantics.
 
 #include "ml/flat_forest.hpp"
 
@@ -161,6 +162,41 @@ TEST(FlatForest, SerialAndParallelScoresAreBitIdentical) {
     const Matrix probe = probe_matrix(rows, 6, 50 + rows);
     expect_identical(engine.predict_proba(probe, pool1),
                      engine.predict_proba(probe, pool8));
+  }
+}
+
+TEST(FlatForest, PredictIntoIsBitIdenticalAtEveryWidth) {
+  // Every width 1..300 at several row offsets crosses each case of the
+  // any-width kernel: whole 16-row groups, the < 16-row runtime tail, and
+  // 128-row block boundaries.  NaN/Inf cells keep the routing contract in
+  // the loop.  submit_predict's kTaskRows split must agree too.
+  const RandomForest forest = fitted_forest();
+  const GradientBoosting boosting = fitted_boosting();
+  const Classifier* const walkers[] = {&forest, &boosting};
+  const FlatForest engines[] = {FlatForest::compile(forest), FlatForest::compile(boosting)};
+  constexpr std::size_t kMaxWidth = 300;
+  const std::size_t offsets[] = {0, 1, 7, 16, 45};
+  const Matrix probe = hostile_matrix(kMaxWidth + 45, 6, 70);
+  parallel::ThreadPool pool(3);
+  for (std::size_t m = 0; m < 2; ++m) {
+    const std::vector<float> expected = walkers[m]->predict_proba(probe);
+    std::vector<float> out(kMaxWidth);
+    for (const std::size_t offset : offsets) {
+      for (std::size_t width = 1; width <= kMaxWidth; ++width) {
+        engines[m].predict_into(probe, offset, width, out.data());
+        for (std::size_t r = 0; r < width; ++r)
+          ASSERT_EQ(out[r], expected[offset + r])
+              << "model " << m << " offset " << offset << " width " << width << " row " << r;
+      }
+    }
+    for (const std::size_t rows : kProbeSizes) {
+      const Matrix part = probe_matrix(rows, 6, 80 + rows);
+      std::vector<float> split(rows);
+      parallel::TaskGroup group(pool);
+      engines[m].submit_predict(part, split.data(), group);
+      group.wait();
+      expect_identical(split, walkers[m]->predict_proba(part));
+    }
   }
 }
 
