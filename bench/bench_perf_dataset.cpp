@@ -1,18 +1,18 @@
-// Dataset-build throughput: columnar (SSDF2 v2 mmap zero-copy, v3
-// compressed) vs row (v1).
+// Dataset-build throughput: columnar (SSDF2 v3, compressed) vs row (v1).
 //
 // Both pipelines are measured end-to-end from serialized bytes on disk to
 // a finished ml::Dataset:
 //
 //   columnar:  ColumnarFleetView::open (mmap)
-//                -> chunk-parallel build_dataset (fused zero-copy walk)
+//                -> chunk-parallel build_dataset (each worker decodes its
+//                   chunks' column frames into a recycled scan scratch)
 //   row v1:    read_binary (materialize the whole FleetTrace on the heap)
 //                -> sequential build_dataset
 //
 // Fairness: the v1 row path performs ZERO integrity checking, so the
 // headline columnar bench opens with verify_crc=false to compare equal
 // work.  The cost of full CRC verification is pinned separately, twice:
-// BM_DatasetBuildColumnarVerified (end-to-end with verification, the
+// BM_DatasetBuildColumnarV3Verified (end-to-end with verification, the
 // recommended production configuration) and BM_StageOpenColumnar/1 (the
 // verify-only delta).
 //
@@ -32,13 +32,12 @@
 //                         file-backed mmap pages are excluded, which is
 //                         exactly the columnar store's memory story
 //   bytes_per_row         on-disk file bytes / total drive-day records —
-//                         the storage-density axis of the v2-vs-v3 gate
+//                         the storage-density axis of the v3-vs-row gate
 //   scan_gb/s             on-disk bytes consumed per second of build time
 //   store_* counters      CRC/chunk/mmap telemetry via RegistryDelta
 //
-// CI runs the v2/v3/row trio and fails if v3 bytes_per_row exceeds 0.6x
-// v2, if the columnar build rate drops below 2.5x the row path, or if the
-// v3 build rate drops below 0.5x v2 or 1.5x the row path (the
+// CI runs the v3/row pair and fails if v3 bytes_per_row exceeds 0.6x the
+// row file's or if the v3 build rate drops below 1.5x the row path (the
 // dataset-bench-gate job in .github/workflows/ci.yml).
 //
 // Correctness is asserted in-harness: every configuration's dataset must
@@ -79,7 +78,7 @@ core::DatasetBuildOptions build_options() {
 /// FleetTrace itself is dropped before any measurement loop runs.
 struct Files {
   std::string v1_path;
-  std::string v2_dir;  // one v2 + one v3 file per chunk size
+  std::string dir;  // one v3 file per chunk size
   std::uint64_t total_records = 0;
   std::uint64_t max_drive_records = 0;
   std::size_t n_drives = 0;
@@ -97,15 +96,12 @@ const Files& files() {
     const auto dir = std::filesystem::temp_directory_path() / "ssdfail_bench_dataset";
     std::filesystem::create_directories(dir);
     out.v1_path = (dir / "fleet_v1.bin").string();
-    out.v2_dir = dir.string();
+    out.dir = dir.string();
     {
       std::ofstream v1(out.v1_path, std::ios::binary | std::ios::trunc);
       trace::write_binary(v1, fleet);
     }
     for (const std::uint32_t chunk : {16u, 64u, store::kDefaultChunkDrives, 1024u}) {
-      std::ofstream v2(dir / ("fleet_v2_" + std::to_string(chunk) + ".bin"),
-                       std::ios::binary | std::ios::trunc);
-      trace::write_binary_v2(v2, fleet, chunk);
       std::ofstream v3(dir / ("fleet_v3_" + std::to_string(chunk) + ".bin"),
                        std::ios::binary | std::ios::trunc);
       trace::write_binary_v3(v3, fleet, chunk);
@@ -120,12 +116,8 @@ const Files& files() {
   return f;
 }
 
-std::string v2_path(std::uint32_t chunk) {
-  return files().v2_dir + "/fleet_v2_" + std::to_string(chunk) + ".bin";
-}
-
 std::string v3_path(std::uint32_t chunk) {
-  return files().v2_dir + "/fleet_v3_" + std::to_string(chunk) + ".bin";
+  return files().dir + "/fleet_v3_" + std::to_string(chunk) + ".bin";
 }
 
 /// Column-sum digest in fixed row order: bit-identical builds agree
@@ -199,7 +191,7 @@ void export_common(benchmark::State& state, std::uint64_t records,
 /// on-disk file per iteration: bytes_per_row is the file's footprint per
 /// drive-day record, scan_gb/s the on-disk bytes digested per second of
 /// end-to-end build time.  These are the two axes the dataset-bench-gate
-/// CI job compares across v2 / v3 / row builds.
+/// CI job compares across v3 / row builds.
 void export_storage(benchmark::State& state, const std::string& path) {
   const auto file_bytes =
       static_cast<double>(std::filesystem::file_size(path));
@@ -230,8 +222,9 @@ void run_columnar_build(benchmark::State& state, const std::string& path,
     rows = data.size();
     if (!check_digest(state, data)) return;
   }
-  // Fleet bytes never hit the heap: the per-worker transient is one
-  // drive's gather scratch (sizeof(DailyRecord) is the dominant term).
+  // Fleet bytes never hit the heap as row structs: the per-worker
+  // transient is one drive's gather scratch (sizeof(DailyRecord) is the
+  // dominant term).
   const std::uint64_t transient =
       files().max_drive_records * sizeof(trace::DailyRecord);
   export_common(state, records, transient, rss_peak, rows);
@@ -240,21 +233,8 @@ void run_columnar_build(benchmark::State& state, const std::string& path,
 }
 
 /// Headline: integrity checking off to match the v1 row path, which has
-/// none (see the file header for where the verified cost is pinned).
-void BM_DatasetBuildColumnar(benchmark::State& state) {
-  run_columnar_build(state, v2_path(static_cast<std::uint32_t>(state.range(0))),
-                     /*verify_crc=*/false);
-}
-BENCHMARK(BM_DatasetBuildColumnar)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(store::kDefaultChunkDrives)
-    ->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
-/// Same build through the compressed v3 format: each build worker decodes
-/// chunk column frames into its recycled scan scratch, so the digest check
-/// also pins the decode path bit-identical to the v2 zero-copy walk.
+/// none (see the file header for where the verified cost is pinned).  The
+/// digest check pins the decode path bit-identical to the row path.
 void BM_DatasetBuildColumnarV3(benchmark::State& state) {
   run_columnar_build(state, v3_path(static_cast<std::uint32_t>(state.range(0))),
                      /*verify_crc=*/false);
@@ -268,12 +248,6 @@ BENCHMARK(BM_DatasetBuildColumnarV3)
 
 /// Production configuration: every chunk CRC + the footer CRC verified at
 /// open, before any column is trusted.
-void BM_DatasetBuildColumnarVerified(benchmark::State& state) {
-  run_columnar_build(state, v2_path(store::kDefaultChunkDrives),
-                     /*verify_crc=*/true);
-}
-BENCHMARK(BM_DatasetBuildColumnarVerified)->Unit(benchmark::kMillisecond);
-
 void BM_DatasetBuildColumnarV3Verified(benchmark::State& state) {
   run_columnar_build(state, v3_path(store::kDefaultChunkDrives),
                      /*verify_crc=*/true);
@@ -309,7 +283,7 @@ BENCHMARK(BM_DatasetBuildRowV1)->Unit(benchmark::kMillisecond);
 // would inflate every later bench's RssAnon reading.
 
 void BM_StageOpenColumnar(benchmark::State& state) {
-  const std::string path = v2_path(store::kDefaultChunkDrives);
+  const std::string path = v3_path(store::kDefaultChunkDrives);
   const bool verify = state.range(0) != 0;
   std::uint64_t records = 0;
   for (auto _ : state) {
@@ -350,7 +324,7 @@ void BM_StageBuildFromMaterialized(benchmark::State& state) {
 BENCHMARK(BM_StageBuildFromMaterialized)->Unit(benchmark::kMillisecond);
 
 void BM_StageBuildFromOpenView(benchmark::State& state) {
-  const auto view = store::ColumnarFleetView::open(v2_path(store::kDefaultChunkDrives));
+  const auto view = store::ColumnarFleetView::open(v3_path(store::kDefaultChunkDrives));
   const core::DatasetBuildOptions opts = build_options();
   std::uint64_t records = 0;
   for (auto _ : state) {

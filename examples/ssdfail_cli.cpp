@@ -2,7 +2,7 @@
 //
 //   ssdfail_cli simulate   --drives N --seed S --out PREFIX [--binary|--columnar]
 //   ssdfail_cli analyze    --in PREFIX [--binary]
-//   ssdfail_cli convert    --in FILE --out FILE [--to v1|v2|v3] [--chunk N]
+//   ssdfail_cli convert    --in FILE --out FILE [--to v1|v3] [--chunk N]
 //   ssdfail_cli compact    --wal-dir DIR --store-dir DIR
 //   ssdfail_cli benchmark  --drives N [--lookahead N]
 //   ssdfail_cli transfer   [--drives N | --fleet FILE] [--gate] ...
@@ -12,20 +12,20 @@
 //   ssdfail_cli metrics    [--out FILE] [--drives N]
 //
 // `simulate` writes a fleet as PREFIX_daily.csv + PREFIX_swaps.csv (or
-// PREFIX.bin with --binary for the v1 row format, --columnar for the v2
-// columnar store); `analyze` re-imports and prints the headline
-// characterization (binary reads auto-detect the version); `convert`
-// re-encodes a binary fleet between v1, v2 and v3 (compressed columnar)
-// and reports bytes/row; `compact` folds the daemon's sealed WAL segments
-// into v3 shards of a sharded store (daemon/compactor.hpp); `benchmark`
-// trains the
-// paper's random forest and reports cross-validated AUC.  `train` fits a
-// model once and persists it (ml/serialize); `serve` loads it and replays
-// a fleet day by day through the telemetry daemon (WAL off), printing the
-// daemon's counters — the always-on scoring service in miniature.  `train`
-// and `serve` accept `--fleet FILE` to use a recorded binary fleet instead
-// of simulating one; a v2 file feeds `train` through the zero-copy
-// chunk-parallel dataset build (store/columnar.hpp).
+// PREFIX.bin with --binary for the v1 row format, --columnar for the v3
+// compressed columnar store); `analyze` re-imports and prints the headline
+// characterization (binary reads auto-detect the version, including
+// read-only v2 files); `convert` re-encodes a binary fleet of any version
+// as v1 or v3 and reports bytes/row; `compact` folds the daemon's sealed
+// WAL segments into v3 shards of a sharded store (daemon/compactor.hpp);
+// `benchmark` trains the paper's random forest and reports cross-validated
+// AUC.  `train` fits a model once and persists it (ml/serialize); `serve`
+// loads it and replays a fleet day by day through the telemetry daemon
+// (WAL off), printing the daemon's counters — the always-on scoring
+// service in miniature.  `train` and `serve` accept `--fleet FILE` to use a
+// recorded binary fleet instead of simulating one; a columnar file (v2 or
+// v3) feeds `train` through the chunk-parallel dataset build straight off
+// the mapped file (store/columnar.hpp).
 //
 // `daemon` runs the crash-safe streaming service (src/daemon): multi-
 // threaded producers push the fleet into per-shard ingest rings, appender
@@ -128,7 +128,7 @@ int usage() {
       "                        [--device-class mlc|hdd|nvme|mixed]\n"
       "                        [--binary | --columnar [--chunk N]]\n"
       "  ssdfail_cli analyze   --in PREFIX [--binary]\n"
-      "  ssdfail_cli convert   --in FILE --out FILE [--to v1|v2|v3] [--chunk N]\n"
+      "  ssdfail_cli convert   --in FILE --out FILE [--to v1|v3] [--chunk N]\n"
       "  ssdfail_cli compact   --wal-dir DIR --store-dir DIR [--chunk N] [--keep-wal]\n"
       "  ssdfail_cli benchmark [--drives N] [--lookahead N] [--seed S]\n"
       "  ssdfail_cli transfer  [--drives N | --fleet FILE] [--days N] [--seed S]\n"
@@ -230,9 +230,9 @@ int cmd_simulate(const Args& args) {
   const trace::FleetTrace fleet = sim::FleetSimulator(cfg).generate_all();
   if (args.flag("columnar")) {
     std::ofstream out(prefix + ".bin", std::ios::binary);
-    trace::write_binary_v2(out, fleet,
+    trace::write_binary_v3(out, fleet,
                            static_cast<std::uint32_t>(args.get_long("chunk", 0)));
-    std::printf("wrote %s.bin (columnar v2, %zu drive-days)\n", prefix.c_str(),
+    std::printf("wrote %s.bin (columnar v3, %zu drive-days)\n", prefix.c_str(),
                 fleet.total_records());
   } else if (args.flag("binary")) {
     std::ofstream out(prefix + ".bin", std::ios::binary);
@@ -315,14 +315,10 @@ int cmd_convert(const Args& args) {
   const std::string in_path = args.get("in", "");
   const std::string out_path = args.get("out", "");
   if (in_path.empty() || out_path.empty()) return usage();
-  const std::string to = args.get("to", "v2");
-  std::uint32_t to_version = 0;
-  if (to == "v1") to_version = trace::kBinaryFormatVersion;
-  else if (to == "v2") to_version = trace::kColumnarFormatVersion;
-  else if (to == "v3") to_version = trace::kColumnarV3FormatVersion;
-  else {
-    std::fprintf(stderr, "convert: --to must be 'v1', 'v2' or 'v3'\n");
-    return 2;
+  const std::string to = args.get("to", "v3");
+  if (to != "v1" && to != "v3") {
+    std::fprintf(stderr, "convert: --to must be 'v1' or 'v3'\n");
+    return usage();
   }
   std::ifstream in(in_path, std::ios::binary);
   if (!in) {
@@ -337,11 +333,8 @@ int cmd_convert(const Args& args) {
   try {
     const std::uint32_t from_version = trace::peek_binary_version(in);
     const trace::FleetTrace fleet = trace::read_binary(in);
-    if (to_version == trace::kBinaryFormatVersion)
+    if (to == "v1")
       trace::write_binary(out, fleet);
-    else if (to_version == trace::kColumnarFormatVersion)
-      trace::write_binary_v2(out, fleet,
-                             static_cast<std::uint32_t>(args.get_long("chunk", 0)));
     else
       trace::write_binary_v3(out, fleet,
                              static_cast<std::uint32_t>(args.get_long("chunk", 0)));
@@ -547,8 +540,9 @@ int cmd_train(const Args& args) {
       const std::uint32_t version = trace::peek_binary_version(in);
       std::printf("building N=%d dataset from %s (v%u)...\n", opts.lookahead_days,
                   fleet_path.c_str(), version);
-      if (version == trace::kColumnarFormatVersion) {
-        // v2: chunk-parallel zero-copy build straight off the mapped file.
+      if (version != trace::kBinaryFormatVersion) {
+        // Columnar (v2 or v3): chunk-parallel build straight off the
+        // mapped file; v3 chunks decode on the build workers.
         data = core::build_dataset(store::ColumnarFleetView::open(fleet_path), opts);
       } else {
         data = core::build_dataset(trace::read_binary(in), opts);
@@ -691,8 +685,8 @@ int cmd_serve(const Args& args) {
   const std::string fleet_path = args.get("fleet", "");
   if (!fleet_path.empty()) {
     try {
-      // read_binary auto-detects v1/v2; the replay loop needs row structs
-      // either way, so a v2 file is materialized on load.
+      // read_binary auto-detects v1/v2/v3; the replay loop needs row
+      // structs either way, so a columnar file is materialized on load.
       std::ifstream in(fleet_path, std::ios::binary);
       if (!in) throw std::runtime_error("cannot open " + fleet_path);
       fleet = trace::read_binary(in);

@@ -17,11 +17,13 @@ FleetScores predict_chunk(const ml::FlatForest& engine,
     throw std::invalid_argument("predict_chunk: engine feature count mismatch");
 
   // Storage-order offsets: chunk c's records land at [offsets[c],
-  // offsets[c + 1]) regardless of which worker scores them.
+  // offsets[c + 1]) regardless of which worker scores them.  Row counts
+  // come from the footer directory, so no chunk is decoded before the
+  // workers start.
   const std::size_t n_chunks = view.chunk_count();
   std::vector<std::size_t> offsets(n_chunks + 1, 0);
   for (std::size_t c = 0; c < n_chunks; ++c)
-    offsets[c + 1] = offsets[c] + view.chunk(c).day.size();
+    offsets[c + 1] = offsets[c] + view.zone_map(c).n_records;
 
   FleetScores out;
   out.uid.resize(offsets[n_chunks]);

@@ -33,12 +33,11 @@
 namespace ssdfail::daemon {
 
 struct CompactorOptions {
-  /// Per-shard store write options; defaults to v3 (that is the point).
+  /// Per-shard store write options (shards are v3, the only format the
+  /// store writes).
   store::ColumnarWriteOptions store;
   /// Keep consumed sealed files instead of deleting them (debugging).
   bool keep_wal = false;
-
-  CompactorOptions() { store.version = store::kColumnarVersionV3; }
 };
 
 struct CompactionResult {

@@ -182,13 +182,13 @@ void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
   trace::detail::WriteByteCount byte_count(out, "columnar");
 
   const std::uint32_t chunk_drives = std::max<std::uint32_t>(1, options.chunk_drives);
-  const std::uint32_t version = options.version;
-  if (version != kColumnarVersion && version != kColumnarVersionV3)
-    fail("unsupported write version " + std::to_string(version));
+  // v3 is the only format written; v2 files are read, never produced.
+  if (options.version != kColumnarVersionV3)
+    fail("unsupported write version " + std::to_string(options.version));
 
   std::string header;
   header.append(kMagic, sizeof(kMagic));
-  put<std::uint32_t>(header, version);
+  put<std::uint32_t>(header, kColumnarVersionV3);
   put<std::uint32_t>(header, chunk_drives);
   put<std::uint32_t>(header, 0);
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
@@ -243,103 +243,64 @@ void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
       for (std::size_t d = first; d < last; ++d)
         for (const trace::DailyRecord& r : fleet.drives[d].records) emit(r);
     };
-    if (version == kColumnarVersion) {
+    // Every column travels as an encoded frame — [align8] u32
+    // encoding, u32 reserved, u64 payload bytes, payload — emitted in
+    // ZoneColumn order, with the column's min/max recorded in the
+    // directory zone map as a side effect of the same pass.
+    std::vector<std::uint64_t> scratch;
+    scratch.reserve(static_cast<std::size_t>(n_records));
+    const auto emit_frame = [&](std::size_t elem_bytes, ZoneColumn zc) {
+      zone.columns[static_cast<std::size_t>(zc)] = stats_of(scratch);
+      zone.stats_valid = true;
       pad8(chunk);
-      for_each_record([&](const trace::DailyRecord& r) { put<std::int32_t>(chunk, r.day); });
-      pad8(chunk);
-      for_each_record([&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.reads); });
-      pad8(chunk);
-      for_each_record([&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.writes); });
-      pad8(chunk);
-      for_each_record([&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.erases); });
-      pad8(chunk);
-      for_each_record(
-          [&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.pe_cycles); });
-      pad8(chunk);
-      for_each_record(
-          [&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.bad_blocks); });
-      pad8(chunk);
-      for_each_record(
-          [&](const trace::DailyRecord& r) { put<std::uint16_t>(chunk, r.factory_bad_blocks); });
-      pad8(chunk);
-      for_each_record([&](const trace::DailyRecord& r) {
-        put<std::uint8_t>(chunk, static_cast<std::uint8_t>((r.read_only ? 1 : 0) |
-                                                           (r.dead ? 2 : 0)));
-      });
-      for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e) {
-        pad8(chunk);
-        for_each_record(
-            [&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.errors[e]); });
-      }
-      for (const trace::RecordCounterField& f : trace::kExtCounterFields) {
-        pad8(chunk);
-        for_each_record(
-            [&](const trace::DailyRecord& r) { put<std::uint32_t>(chunk, r.*f.field); });
-      }
-      pad8(chunk);
-      for (std::size_t d = first; d < last; ++d)
-        for (const trace::SwapEvent& s : fleet.drives[d].swaps)
-          put<std::int32_t>(chunk, s.day);
-    } else {
-      // v3: every column travels as an encoded frame — [align8] u32
-      // encoding, u32 reserved, u64 payload bytes, payload — emitted in
-      // ZoneColumn order, with the column's min/max recorded in the
-      // directory zone map as a side effect of the same pass.
-      std::vector<std::uint64_t> scratch;
-      scratch.reserve(static_cast<std::size_t>(n_records));
-      const auto emit_frame = [&](std::size_t elem_bytes, ZoneColumn zc) {
-        zone.columns[static_cast<std::size_t>(zc)] = stats_of(scratch);
-        zone.stats_valid = true;
-        pad8(chunk);
-        const EncodedColumn enc = encode_column(scratch, elem_bytes);
-        put<std::uint32_t>(chunk, static_cast<std::uint32_t>(enc.encoding));
-        put<std::uint32_t>(chunk, 0);
-        put<std::uint64_t>(chunk, enc.payload.size());
-        chunk.append(enc.payload.data(), enc.payload.size());
-      };
-      const auto gather = [&](auto&& get) {
-        scratch.clear();
-        for_each_record([&](const trace::DailyRecord& r) { scratch.push_back(get(r)); });
-      };
-      const auto widen_i32 = [](std::int32_t v) {
-        return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-      };
-      gather([&](const trace::DailyRecord& r) { return widen_i32(r.day); });
-      emit_frame(4, ZoneColumn::kDay);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.reads}; });
-      emit_frame(4, ZoneColumn::kReads);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.writes}; });
-      emit_frame(4, ZoneColumn::kWrites);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.erases}; });
-      emit_frame(4, ZoneColumn::kErases);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.pe_cycles}; });
-      emit_frame(4, ZoneColumn::kPeCycles);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.bad_blocks}; });
-      emit_frame(4, ZoneColumn::kBadBlocks);
-      gather([](const trace::DailyRecord& r) { return std::uint64_t{r.factory_bad_blocks}; });
-      emit_frame(2, ZoneColumn::kFactoryBadBlocks);
-      gather([](const trace::DailyRecord& r) {
-        return std::uint64_t{static_cast<std::uint8_t>((r.read_only ? 1 : 0) |
-                                                       (r.dead ? 2 : 0))};
-      });
-      emit_frame(1, ZoneColumn::kFlags);
-      for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e) {
-        gather([&](const trace::DailyRecord& r) { return std::uint64_t{r.errors[e]}; });
-        emit_frame(4, static_cast<ZoneColumn>(
-                          static_cast<std::size_t>(ZoneColumn::kError0) + e));
-      }
-      for (std::size_t x = 0; x < trace::kNumExtCounterFields; ++x) {
-        const trace::RecordCounterField& f = trace::kExtCounterFields[x];
-        gather([&](const trace::DailyRecord& r) { return std::uint64_t{r.*f.field}; });
-        emit_frame(4, static_cast<ZoneColumn>(
-                          static_cast<std::size_t>(ZoneColumn::kReallocatedSectors) + x));
-      }
+      const EncodedColumn enc = encode_column(scratch, elem_bytes);
+      put<std::uint32_t>(chunk, static_cast<std::uint32_t>(enc.encoding));
+      put<std::uint32_t>(chunk, 0);
+      put<std::uint64_t>(chunk, enc.payload.size());
+      chunk.append(enc.payload.data(), enc.payload.size());
+    };
+    const auto gather = [&](auto&& get) {
       scratch.clear();
-      for (std::size_t d = first; d < last; ++d)
-        for (const trace::SwapEvent& s : fleet.drives[d].swaps)
-          scratch.push_back(widen_i32(s.day));
-      emit_frame(4, ZoneColumn::kSwapDay);
+      for_each_record([&](const trace::DailyRecord& r) { scratch.push_back(get(r)); });
+    };
+    const auto widen_i32 = [](std::int32_t v) {
+      return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+    };
+    gather([&](const trace::DailyRecord& r) { return widen_i32(r.day); });
+    emit_frame(4, ZoneColumn::kDay);
+    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.reads}; });
+    emit_frame(4, ZoneColumn::kReads);
+    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.writes}; });
+    emit_frame(4, ZoneColumn::kWrites);
+    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.erases}; });
+    emit_frame(4, ZoneColumn::kErases);
+    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.pe_cycles}; });
+    emit_frame(4, ZoneColumn::kPeCycles);
+    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.bad_blocks}; });
+    emit_frame(4, ZoneColumn::kBadBlocks);
+    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.factory_bad_blocks}; });
+    emit_frame(2, ZoneColumn::kFactoryBadBlocks);
+    gather([](const trace::DailyRecord& r) {
+      return std::uint64_t{static_cast<std::uint8_t>((r.read_only ? 1 : 0) |
+                                                     (r.dead ? 2 : 0))};
+    });
+    emit_frame(1, ZoneColumn::kFlags);
+    for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e) {
+      gather([&](const trace::DailyRecord& r) { return std::uint64_t{r.errors[e]}; });
+      emit_frame(4, static_cast<ZoneColumn>(
+                        static_cast<std::size_t>(ZoneColumn::kError0) + e));
     }
+    for (std::size_t x = 0; x < trace::kNumExtCounterFields; ++x) {
+      const trace::RecordCounterField& f = trace::kExtCounterFields[x];
+      gather([&](const trace::DailyRecord& r) { return std::uint64_t{r.*f.field}; });
+      emit_frame(4, static_cast<ZoneColumn>(
+                        static_cast<std::size_t>(ZoneColumn::kReallocatedSectors) + x));
+    }
+    scratch.clear();
+    for (std::size_t d = first; d < last; ++d)
+      for (const trace::SwapEvent& s : fleet.drives[d].swaps)
+        scratch.push_back(widen_i32(s.day));
+    emit_frame(4, ZoneColumn::kSwapDay);
     // Trailing pad is part of the chunk's recorded length (and CRC), so
     // every byte between header and footer is covered by some checksum.
     pad8(chunk);
@@ -363,14 +324,12 @@ void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
     put<std::uint32_t>(footer, e.crc);
     put<std::uint32_t>(footer, e.n_drives);
     put<std::uint64_t>(footer, e.n_records);
-    if (version == kColumnarVersionV3) {
-      put<std::uint64_t>(footer, e.zone.n_swaps);
-      put<std::uint32_t>(footer, e.zone.model_mask);
-      put<std::uint32_t>(footer, 0);
-      for (const ColumnStats& st : e.zone.columns) {
-        put<std::int64_t>(footer, st.min);
-        put<std::int64_t>(footer, st.max);
-      }
+    put<std::uint64_t>(footer, e.zone.n_swaps);
+    put<std::uint32_t>(footer, e.zone.model_mask);
+    put<std::uint32_t>(footer, 0);
+    for (const ColumnStats& st : e.zone.columns) {
+      put<std::int64_t>(footer, st.min);
+      put<std::int64_t>(footer, st.max);
     }
   }
   // The footer CRC also covers the 16-byte file header, so a flipped

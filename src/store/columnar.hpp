@@ -18,10 +18,12 @@
 //   - detect any single-bit corruption via CRC (per chunk, plus a footer
 //     CRC that also covers the file header).
 //
-// Two columnar on-disk versions share this reader:
+// Two columnar on-disk versions share this reader; only v3 is written:
 //
 //   v2 — uncompressed: every column stored raw and 8-aligned, so mapped
-//        spans point straight into the file (zero copy).
+//        spans point straight into the file (zero copy).  Read-only: the
+//        reader stays for existing files (pinned by a committed fixture,
+//        tests/trace/data/sweep_fleet_v2.ssdf2).
 //   v3 — compressed + scan-optimized: each column is independently
 //        encoded (delta+bitpack / bitpack / RLE / raw, whichever is
 //        smallest — store/encoding.hpp), and the footer directory carries
@@ -32,8 +34,9 @@
 //        chunk on first access (chunk()) or into a caller-owned, recycled
 //        ChunkScratch for one-pass scans (scan_chunk()); the ChunkView API
 //        is identical, which is what keeps dataset builds bit-identical
-//        across v2 and v3 (pinned by tests/store/test_zone_map_pruning.cpp
-//        and the golden suite).
+//        to the row path for both versions (v3 pinned by
+//        tests/store/test_zone_map_pruning.cpp and the golden suite, v2 by
+//        the committed fixture in tests/core/test_dataset_builder.cpp).
 //
 // Same observable-only contract as v1: ground truth is never serialized.
 // Every field is little-endian; columns are 8-byte aligned so the mapped
@@ -55,9 +58,10 @@
 namespace ssdfail::store {
 
 /// SSDF2 shares the "SSDF" magic with v1; the version field discriminates.
+/// The uncompressed revision (read-only: no writer emits it).
 inline constexpr std::uint32_t kColumnarVersion = 2;
 
-/// The compressed, zone-mapped revision (SSDF2 v3).
+/// The compressed, zone-mapped revision (SSDF2 v3): the format written.
 inline constexpr std::uint32_t kColumnarVersionV3 = 3;
 
 /// Default drives per chunk: large enough to amortize per-chunk overhead,
@@ -66,9 +70,9 @@ inline constexpr std::uint32_t kDefaultChunkDrives = 256;
 
 struct ColumnarWriteOptions {
   std::uint32_t chunk_drives = kDefaultChunkDrives;  ///< drives per chunk (>= 1)
-  /// On-disk version to emit: kColumnarVersion (uncompressed, zero-copy
-  /// reads) or kColumnarVersionV3 (compressed + zone maps).
-  std::uint32_t version = kColumnarVersion;
+  /// On-disk version to emit.  Only kColumnarVersionV3 is accepted;
+  /// write_columnar throws on any other value.
+  std::uint32_t version = kColumnarVersionV3;
 };
 
 /// Zone-mapped column identities, in serialized order.  kSwapDay ranges
@@ -146,7 +150,8 @@ struct ChunkZoneMap {
   [[nodiscard]] bool may_match(const ScanPredicate& pred) const noexcept;
 };
 
-/// Write the fleet as an SSDF2 columnar file to a binary stream.
+/// Write the fleet as an SSDF2 v3 columnar file to a binary stream.
+/// Throws std::runtime_error when options.version is not v3.
 void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
                     const ColumnarWriteOptions& options = {});
 

@@ -170,17 +170,9 @@ void write_binary(std::ostream& out, const FleetTrace& fleet) {
   }
 }
 
-void write_binary_v2(std::ostream& out, const FleetTrace& fleet,
-                     std::uint32_t chunk_drives) {
-  store::ColumnarWriteOptions options;
-  if (chunk_drives != 0) options.chunk_drives = chunk_drives;
-  store::write_columnar(out, fleet, options);
-}
-
 void write_binary_v3(std::ostream& out, const FleetTrace& fleet,
                      std::uint32_t chunk_drives) {
   store::ColumnarWriteOptions options;
-  options.version = store::kColumnarVersionV3;
   if (chunk_drives != 0) options.chunk_drives = chunk_drives;
   store::write_columnar(out, fleet, options);
 }
@@ -221,8 +213,6 @@ void convert_binary(std::istream& in, std::ostream& out, std::uint32_t to_versio
   const FleetTrace fleet = read_binary(in);
   if (to_version == kBinaryFormatVersion) {
     write_binary(out, fleet);
-  } else if (to_version == kColumnarFormatVersion) {
-    write_binary_v2(out, fleet, chunk_drives);
   } else if (to_version == kColumnarV3FormatVersion) {
     write_binary_v3(out, fleet, chunk_drives);
   } else {

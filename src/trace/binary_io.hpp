@@ -8,14 +8,15 @@
 //   v1 — row format: drives one after another, each a header plus a run of
 //        kRecordWireBytes-byte DailyRecord structs (~86 bytes per
 //        drive-day versus ~200 for CSV, and no parsing).
-//   v2 — the chunked columnar store (store/columnar.hpp): per-field
-//        columns, per-chunk CRC32, mmap-friendly.  Written via
-//        write_binary_v2; read_binary auto-detects it and materializes the
-//        fleet, while store::ColumnarFleetView::open gives zero-copy
-//        access without materializing.
+//   v2 — the uncompressed chunked columnar store (store/columnar.hpp):
+//        per-field columns, per-chunk CRC32, mmap-friendly.  Read-only:
+//        nothing writes it any more; read_binary auto-detects existing
+//        files and materializes the fleet.
 //   v3 — v2's layout with per-chunk compressed column frames and zone
-//        maps (docs/DATA_FORMAT.md).  Written via write_binary_v3; the
-//        same auto-detection reads it back.
+//        maps (docs/DATA_FORMAT.md): the columnar format written, via
+//        write_binary_v3.  read_binary materializes it;
+//        store::ColumnarFleetView::open reads either columnar version
+//        without materializing.
 //
 // Little-endian, versioned.  Ground truth is never serialized (same
 // observable-only contract as the CSV path).
@@ -33,7 +34,8 @@ inline constexpr std::uint32_t kBinaryFormatVersion = 1;
 /// per class-specific extension counter (kExtCounterFields).
 inline constexpr std::size_t kRecordWireBytes = 67 + 4 * kNumExtCounterFields;
 
-/// Columnar (v2) binary format version; mirrors store::kColumnarVersion.
+/// Columnar (v2) binary format version, read-only; mirrors
+/// store::kColumnarVersion.
 inline constexpr std::uint32_t kColumnarFormatVersion = 2;
 
 /// Compressed columnar (v3) version; mirrors store::kColumnarVersionV3.
@@ -43,12 +45,8 @@ inline constexpr std::uint32_t kColumnarV3FormatVersion = 3;
 /// v1 row format.
 void write_binary(std::ostream& out, const FleetTrace& fleet);
 
-/// Write the fleet in the v2 columnar format.  `chunk_drives` = 0 means
-/// the store default (store::kDefaultChunkDrives).
-void write_binary_v2(std::ostream& out, const FleetTrace& fleet,
-                     std::uint32_t chunk_drives = 0);
-
-/// Write the fleet in the v3 compressed columnar format.
+/// Write the fleet in the v3 compressed columnar format.  `chunk_drives`
+/// = 0 means the store default (store::kDefaultChunkDrives).
 void write_binary_v3(std::ostream& out, const FleetTrace& fleet,
                      std::uint32_t chunk_drives = 0);
 
@@ -61,7 +59,8 @@ void write_binary_v3(std::ostream& out, const FleetTrace& fleet,
 /// stream (requires a seekable stream; throws on bad magic/truncation).
 [[nodiscard]] std::uint32_t peek_binary_version(std::istream& in);
 
-/// Re-encode a binary trace (any version in) as `to_version` (1, 2 or 3).
+/// Re-encode a binary trace (any version in) as `to_version` (1 or 3;
+/// anything else throws std::runtime_error).
 /// `chunk_drives` applies to columnar output only; 0 means the store
 /// default.
 void convert_binary(std::istream& in, std::ostream& out, std::uint32_t to_version,

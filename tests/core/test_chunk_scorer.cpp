@@ -47,7 +47,7 @@ const ml::RandomForest& test_forest() {
 
 store::ColumnarFleetView columnar_view(std::uint32_t chunk_drives) {
   std::ostringstream out(std::ios::binary);
-  trace::write_binary_v2(out, test_fleet(), chunk_drives);
+  trace::write_binary_v3(out, test_fleet(), chunk_drives);
   const std::string bytes = out.str();
   return store::ColumnarFleetView::from_buffer({bytes.begin(), bytes.end()});
 }

@@ -9,6 +9,7 @@
 #include "core/failure_timeline.hpp"
 #include "store/columnar.hpp"
 #include "trace/binary_io.hpp"
+#include "trace/v2_fixture.hpp"
 
 namespace ssdfail::core {
 namespace {
@@ -341,7 +342,7 @@ TEST(DatasetBuilder, EmptyAndRecordlessFleetsBuildValidEmptyDatasets) {
   EXPECT_FALSE(from_empty.feature_names.empty());  // schema survives no data
 
   std::ostringstream encoded(std::ios::binary);
-  trace::write_binary_v2(encoded, FleetTrace{});
+  trace::write_binary_v3(encoded, FleetTrace{});
   const std::string bytes = encoded.str();
   const ml::Dataset from_empty_columnar = build_dataset(
       store::ColumnarFleetView::from_buffer({bytes.begin(), bytes.end()}), opts);
@@ -460,7 +461,7 @@ TEST(DatasetBuilder, ColumnarBuildMatchesRowBuild) {
   const ml::Dataset row = build_dataset(fleet, opts);
   for (const std::uint32_t chunk_drives : {1u, 2u, 5u, 64u}) {
     std::ostringstream out(std::ios::binary);
-    trace::write_binary_v2(out, fleet, chunk_drives);
+    trace::write_binary_v3(out, fleet, chunk_drives);
     const std::string bytes = out.str();
     const auto view =
         store::ColumnarFleetView::from_buffer({bytes.begin(), bytes.end()});
@@ -489,11 +490,33 @@ TEST(DatasetBuilder, ColumnarBuildHonorsEveryOption) {
   opts.age_filter = DatasetBuildOptions::AgeFilter::kOldOnly;
   opts.rolling_features = true;
   std::ostringstream out(std::ios::binary);
-  trace::write_binary_v2(out, fleet, 2);
+  trace::write_binary_v3(out, fleet, 2);
   const std::string bytes = out.str();
   const auto view =
       store::ColumnarFleetView::from_buffer({bytes.begin(), bytes.end()});
   expect_bit_identical(build_dataset(view, opts), build_dataset(fleet, opts), 2);
+}
+
+TEST(DatasetBuilder, V2FixtureBuildMatchesRowBuild) {
+  // The v2 reader's zero-copy build, pinned without a v2 writer: the
+  // committed fixture builds bit-identically to the row path over the
+  // fleet it encodes, through every open path.
+  const FleetTrace fleet = trace::testing::sweep_fleet();
+  DatasetBuildOptions opts;
+  opts.lookahead_days = 7;
+  opts.negative_keep_prob = 1.0;
+  const ml::Dataset row = build_dataset(fleet, opts);
+  ASSERT_EQ(row.size(), 65u);
+  EXPECT_EQ(row.positives(), 23u);
+  store::OpenOptions heap;
+  heap.allow_mmap = false;
+  for (const store::ColumnarFleetView& view :
+       {store::ColumnarFleetView::open(trace::testing::v2_fixture_path()),
+        store::ColumnarFleetView::open(trace::testing::v2_fixture_path(), heap),
+        store::ColumnarFleetView::from_buffer(trace::testing::v2_fixture_bytes())}) {
+    ASSERT_EQ(view.version(), store::kColumnarVersion);
+    expect_bit_identical(build_dataset(view, opts), row, opts.lookahead_days);
+  }
 }
 
 TEST(SweepDatasetCache, RejectsOutOfRangeLookahead) {

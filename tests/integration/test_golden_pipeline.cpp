@@ -1,7 +1,7 @@
 // Golden end-to-end regression suite.
 //
 // One pinned ~20-drive fleet flows through the whole pipeline — simulate,
-// serialize (v1 row and v2 columnar), build datasets by both paths, train
+// serialize (v1 row and v3 columnar), build datasets by both paths, train
 // and cross-validate the paper's random forest — and every stage's output
 // is asserted against committed golden values: dataset row count, label
 // counts, per-column checksums, and per-fold AUCs.
@@ -162,7 +162,7 @@ ml::Dataset row_dataset() { return core::build_dataset(golden_fleet(), golden_op
 
 ml::Dataset columnar_dataset(std::uint32_t chunk_drives) {
   std::ostringstream out(std::ios::binary);
-  trace::write_binary_v2(out, golden_fleet(), chunk_drives);
+  trace::write_binary_v3(out, golden_fleet(), chunk_drives);
   const std::string bytes = out.str();
   const auto view =
       store::ColumnarFleetView::from_buffer({bytes.begin(), bytes.end()});
@@ -274,7 +274,7 @@ TEST(GoldenPipeline, ForestFoldAucsMatchGolden) {
 
 TEST(GoldenPipeline, ForestFoldAucsIdenticalViaColumnarPath) {
   std::ostringstream out(std::ios::binary);
-  trace::write_binary_v2(out, golden_fleet(), 4);
+  trace::write_binary_v3(out, golden_fleet(), 4);
   const std::string bytes = out.str();
   const auto view =
       store::ColumnarFleetView::from_buffer({bytes.begin(), bytes.end()});

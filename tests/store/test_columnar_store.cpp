@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "sim/fleet_simulator.hpp"
 #include "store/crc32.hpp"
+#include "trace/v2_fixture.hpp"
 
 namespace ssdfail::store {
 namespace {
@@ -54,10 +55,9 @@ trace::FleetTrace tiny_fleet() {
   return fleet;
 }
 
-std::vector<char> encode(const trace::FleetTrace& fleet, std::uint32_t chunk_drives,
-                         std::uint32_t version = kColumnarVersion) {
+std::vector<char> encode(const trace::FleetTrace& fleet, std::uint32_t chunk_drives) {
   std::ostringstream out(std::ios::binary);
-  write_columnar(out, fleet, {chunk_drives, version});
+  write_columnar(out, fleet, {chunk_drives});
   const std::string s = out.str();
   return {s.begin(), s.end()};
 }
@@ -242,11 +242,19 @@ TEST(ColumnarStore, EveryTruncationThrows) {
 }
 
 TEST(ColumnarStore, ChunksReadCounterAdvances) {
+  // One count per chunk parsed.  v3 chunks are parsed when first decoded,
+  // not at open; v2 columns (the committed fixture) are parsed at open.
   const trace::FleetTrace fleet = tiny_fleet();
   auto& counter = obs::MetricsRegistry::global().counter("store_chunks_read_total");
-  const std::uint64_t before = counter.value();
+  std::uint64_t before = counter.value();
   const auto view = ColumnarFleetView::from_buffer(encode(fleet, 2));
+  EXPECT_EQ(counter.value(), before);
+  for (std::size_t c = 0; c < view.chunk_count(); ++c) (void)view.chunk(c);
   EXPECT_EQ(counter.value() - before, view.chunk_count());
+
+  before = counter.value();
+  const auto v2 = ColumnarFleetView::from_buffer(trace::testing::v2_fixture_bytes());
+  EXPECT_EQ(counter.value() - before, v2.chunk_count());
 }
 
 /// Every record and swap of a chunk, gathered row by row.
@@ -256,6 +264,24 @@ std::vector<trace::DailyRecord> rows_of(const ChunkView& chunk) {
   return rows;
 }
 
+/// The records and swap days of drives [first, first + count) of `fleet`,
+/// in storage order: what one chunk of that many drives must hold.
+std::vector<trace::DailyRecord> source_rows(const trace::FleetTrace& fleet, std::size_t first,
+                                            std::size_t count) {
+  std::vector<trace::DailyRecord> rows;
+  for (std::size_t d = first; d < std::min(first + count, fleet.drives.size()); ++d)
+    rows.insert(rows.end(), fleet.drives[d].records.begin(), fleet.drives[d].records.end());
+  return rows;
+}
+
+std::vector<std::int32_t> source_swaps(const trace::FleetTrace& fleet, std::size_t first,
+                                       std::size_t count) {
+  std::vector<std::int32_t> swaps;
+  for (std::size_t d = first; d < std::min(first + count, fleet.drives.size()); ++d)
+    for (const trace::SwapEvent& s : fleet.drives[d].swaps) swaps.push_back(s.day);
+  return swaps;
+}
+
 TEST(ColumnarStore, ScanChunkMatchesCachedChunkAndRecyclesScratch) {
   const trace::FleetTrace fleet = simulated_fleet();
   auto& decodes = obs::MetricsRegistry::global().counter("store_chunks_read_total");
@@ -263,32 +289,137 @@ TEST(ColumnarStore, ScanChunkMatchesCachedChunkAndRecyclesScratch) {
   // 64 drives per chunk decode to several MiB (a mapped buffer); 5 to a
   // small heap block.
   for (const std::uint32_t chunk_drives : {64u, 5u}) {
-    const auto v2 = ColumnarFleetView::from_buffer(encode(fleet, chunk_drives));
-    const auto v3 =
-        ColumnarFleetView::from_buffer(encode(fleet, chunk_drives, kColumnarVersionV3));
-    ASSERT_EQ(v3.chunk_count(), v2.chunk_count());
-    for (std::size_t c = 0; c < v3.chunk_count(); ++c) {
+    const auto view = ColumnarFleetView::from_buffer(encode(fleet, chunk_drives));
+    for (std::size_t c = 0; c < view.chunk_count(); ++c) {
+      const std::size_t first = c * chunk_drives;
       const std::uint64_t before = decodes.value();
-      const ChunkView& scanned = v3.scan_chunk(c, scratch);
+      const ChunkView& scanned = view.scan_chunk(c, scratch);
       EXPECT_EQ(decodes.value() - before, 1u);
       const std::vector<trace::DailyRecord> rows = rows_of(scanned);
       const std::vector<std::int32_t> swaps(scanned.swap_days.begin(),
                                             scanned.swap_days.end());
-      EXPECT_EQ(scanned.drives.size(), v2.chunk(c).drives.size());
-      EXPECT_EQ(rows, rows_of(v2.chunk(c))) << "chunk " << c;
-      EXPECT_TRUE(std::equal(swaps.begin(), swaps.end(), v2.chunk(c).swap_days.begin(),
-                             v2.chunk(c).swap_days.end()));
+      EXPECT_EQ(scanned.drives.size(),
+                std::min<std::size_t>(chunk_drives, fleet.drives.size() - first));
+      EXPECT_EQ(rows, source_rows(fleet, first, chunk_drives)) << "chunk " << c;
+      EXPECT_EQ(swaps, source_swaps(fleet, first, chunk_drives)) << "chunk " << c;
 
       // Once chunk() has cached a chunk, scans reuse the cache.
-      const ChunkView& cached = v3.chunk(c);
+      const ChunkView& cached = view.chunk(c);
       EXPECT_EQ(rows, rows_of(cached)) << "chunk " << c;
       const std::uint64_t cached_decodes = decodes.value();
-      EXPECT_EQ(&v3.scan_chunk(c, scratch), &cached);
+      EXPECT_EQ(&view.scan_chunk(c, scratch), &cached);
       EXPECT_EQ(decodes.value(), cached_decodes);
     }
-    // v2 columns point into the file: scanning never decodes.
+  }
+}
+
+// --- The v2 reader, pinned by the committed fixture (no v2 writer). ---
+
+/// File offset of the fixture's first column (chunk 0's day column): the
+/// 16-byte file header, the 24-byte chunk header, then one 48-byte drive
+/// index entry per drive (already 8-aligned).
+constexpr std::size_t kV2FirstColumnAt = 16 + 24 + 3 * 48;
+
+/// The fixture through every open path: mmap, heap, in-memory buffer.
+std::vector<ColumnarFleetView> v2_fixture_views(const OpenOptions& base = {}) {
+  OpenOptions heap = base;
+  heap.allow_mmap = false;
+  return {ColumnarFleetView::open(trace::testing::v2_fixture_path(), base),
+          ColumnarFleetView::open(trace::testing::v2_fixture_path(), heap),
+          ColumnarFleetView::from_buffer(trace::testing::v2_fixture_bytes(), base)};
+}
+
+/// Every column span of every chunk, as (first byte, byte length).
+std::vector<std::span<const char>> column_bytes(const ColumnarFleetView& view) {
+  std::vector<std::span<const char>> out;
+  const auto add = [&](auto column) {
+    out.emplace_back(reinterpret_cast<const char*>(column.data()), column.size_bytes());
+  };
+  for (std::size_t c = 0; c < view.chunk_count(); ++c) {
+    const ChunkView& k = view.chunk(c);
+    add(k.day);
+    add(k.reads);
+    add(k.writes);
+    add(k.erases);
+    add(k.pe_cycles);
+    add(k.bad_blocks);
+    add(k.factory_bad_blocks);
+    add(k.flags);
+    for (const auto& e : k.errors) add(e);
+    add(k.reallocated_sectors);
+    add(k.seek_errors);
+    add(k.media_wear);
+    add(k.throttle_events);
+    add(k.swap_days);
+  }
+  return out;
+}
+
+TEST(ColumnarStore, V2FixtureColumnsAreZeroCopyViewsOfTheFile) {
+  const std::vector<char> file = trace::testing::v2_fixture_bytes();
+  const std::vector<ColumnarFleetView> views = v2_fixture_views();
+#if defined(__unix__) || defined(__APPLE__)
+  EXPECT_TRUE(views[0].mmap_backed());
+#endif
+  EXPECT_FALSE(views[1].mmap_backed());
+  for (const ColumnarFleetView& view : views) {
+    EXPECT_EQ(view.version(), kColumnarVersion);
+    ASSERT_EQ(view.chunk_count(), 2u);
+    // Every span lies inside one file-sized image, 8-aligned, and reads
+    // the file's own bytes at its offset: the columns are the backing
+    // bytes, not a decoded copy.
+    const char* base = reinterpret_cast<const char*>(view.chunk(0).day.data()) -
+                       kV2FirstColumnAt;
+    for (const std::span<const char> col : column_bytes(view)) {
+      if (col.empty()) continue;
+      const std::ptrdiff_t at = col.data() - base;
+      ASSERT_GE(at, static_cast<std::ptrdiff_t>(kV2FirstColumnAt));
+      ASSERT_LE(static_cast<std::size_t>(at) + col.size(), file.size());
+      EXPECT_EQ(at % 8, 0);
+      EXPECT_TRUE(std::equal(col.begin(), col.end(), file.begin() + at));
+    }
+  }
+  // The in-memory image is adopted, not copied.
+  std::vector<char> bytes = trace::testing::v2_fixture_bytes();
+  const char* data = bytes.data();
+  const auto adopted = ColumnarFleetView::from_buffer(std::move(bytes));
+  EXPECT_EQ(reinterpret_cast<const char*>(adopted.chunk(0).day.data()),
+            data + kV2FirstColumnAt);
+}
+
+TEST(ColumnarStore, V2FixtureFlippedColumnByteReadsAsDataWithoutCrc) {
+  // v2 columns are raw: with chunk CRCs off, a flipped column byte is not
+  // detected; it is read back as a different value.  With CRCs on (the
+  // default) the same image is rejected.
+  const std::vector<char> good = trace::testing::v2_fixture_bytes();
+  std::vector<char> bad = good;
+  bad[kV2FirstColumnAt] = static_cast<char>(bad[kV2FirstColumnAt] ^ 1);
+  EXPECT_THROW((void)ColumnarFleetView::from_buffer(bad), std::runtime_error);
+
+  OpenOptions trusting;
+  trusting.verify_crc = false;
+  const auto intact = ColumnarFleetView::from_buffer(good, trusting);
+  const auto flipped = ColumnarFleetView::from_buffer(bad, trusting);
+  ASSERT_FALSE(flipped.chunk(0).day.empty());
+  EXPECT_EQ(flipped.chunk(0).day[0], intact.chunk(0).day[0] ^ 1);
+  const trace::FleetTrace a = materialize(intact);
+  const trace::FleetTrace b = materialize(flipped);
+  std::size_t differing = 0;
+  for (std::size_t d = 0; d < a.drives.size(); ++d)
+    for (std::size_t r = 0; r < a.drives[d].records.size(); ++r)
+      differing += a.drives[d].records[r] == b.drives[d].records[r] ? 0 : 1;
+  EXPECT_EQ(differing, 1u);
+}
+
+TEST(ColumnarStore, V2FixtureScanChunkReturnsTheMappedView) {
+  // v2 columns point into the file: scanning never decodes, and returns
+  // the same view chunk() does, whatever the scratch.
+  auto& decodes = obs::MetricsRegistry::global().counter("store_chunks_read_total");
+  ChunkScratch scratch;
+  for (const ColumnarFleetView& view : v2_fixture_views()) {
     const std::uint64_t before = decodes.value();
-    EXPECT_EQ(&v2.scan_chunk(0, scratch), &v2.chunk(0));
+    for (std::size_t c = 0; c < view.chunk_count(); ++c)
+      EXPECT_EQ(&view.scan_chunk(c, scratch), &view.chunk(c)) << "chunk " << c;
     EXPECT_EQ(decodes.value(), before);
   }
 }

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "sim/fleet_simulator.hpp"
+#include "trace/v2_fixture.hpp"
 
 namespace ssdfail::store {
 namespace {
@@ -103,7 +104,6 @@ TEST(ShardedStore, WriteOpenMaterializeRoundTrips) {
   TempDir dir("roundtrip");
   ShardedWriteOptions opts;
   opts.drives_per_shard = 7;  // forces several shards
-  opts.store.version = kColumnarVersionV3;
   opts.store.chunk_drives = 3;
   write_sharded(dir.str(), fleet, opts);
 
@@ -115,14 +115,36 @@ TEST(ShardedStore, WriteOpenMaterializeRoundTrips) {
 
 TEST(ShardedStore, SingleShardAndV2ShardsWork) {
   const trace::FleetTrace fleet = simulated_fleet(4);
+  {
+    TempDir dir("single");
+    ShardedWriteOptions opts;
+    opts.drives_per_shard = 100000;
+    write_sharded(dir.str(), fleet, opts);
+    const ShardedFleetView view = ShardedFleetView::open(dir.str());
+    EXPECT_EQ(view.shard_count(), 1u);
+    EXPECT_EQ(view.shard(0).version(), kColumnarVersionV3);
+    expect_fleets_equal(fleet, materialize(view));
+  }
+  // Nothing writes v2 shards any more, but a store may still hold them: a
+  // manifest naming the committed v2 fixture ahead of a written v3 shard
+  // opens, and materializes both in manifest order.
   TempDir dir("v2");
-  ShardedWriteOptions opts;
-  opts.drives_per_shard = 100000;
-  opts.store.version = kColumnarVersion;
-  write_sharded(dir.str(), fleet, opts);
+  write_sharded(dir.str(), fleet, {});
+  ShardManifest manifest = read_manifest(dir.str());
+  ASSERT_EQ(manifest.shards.size(), 1u);
+  std::filesystem::copy_file(trace::testing::v2_fixture_path(),
+                             std::filesystem::path(dir.str()) / "legacy-v2.ssdf2");
+  manifest.shards.insert(manifest.shards.begin(),
+                         ShardInfo{"legacy-v2.ssdf2", 6160, 6, 67, 10});
+  write_manifest(dir.str(), manifest);
+
   const ShardedFleetView view = ShardedFleetView::open(dir.str());
-  EXPECT_EQ(view.shard_count(), 1u);
-  expect_fleets_equal(fleet, materialize(view));
+  ASSERT_EQ(view.shard_count(), 2u);
+  EXPECT_EQ(view.shard(0).version(), kColumnarVersion);
+  EXPECT_EQ(view.shard(1).version(), kColumnarVersionV3);
+  trace::FleetTrace expected = trace::testing::sweep_fleet();
+  expected.drives.insert(expected.drives.end(), fleet.drives.begin(), fleet.drives.end());
+  expect_fleets_equal(expected, materialize(view));
 }
 
 TEST(ShardedStore, EmptyFleetYieldsEmptyManifest) {

@@ -2,11 +2,12 @@
 // pruned scan must return row sets IDENTICAL to the unpruned scan — the
 // zone map may only skip chunks that provably contain no matching row.
 //
-// Covers: dataset builds with model filters across the row path, v2, and
-// v3 (bit-identical floats), the conservative may_match contract checked
-// exhaustively against decoded chunk contents over seeded fleets, and the
-// edge shapes named by the issue: all-swap-free fleets, single-chunk
-// stores, and filters matching nothing.
+// Covers: dataset builds with model filters across the row path, v3, and
+// the committed v2 fixture (bit-identical floats), the conservative
+// may_match contract checked exhaustively against decoded chunk contents
+// over seeded fleets, the edge shapes (all-swap-free fleets, single-chunk
+// stores, filters matching nothing), and the zone maps the v2 reader
+// synthesizes from the fixture's drive index.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "sim/fleet_simulator.hpp"
 #include "store/columnar.hpp"
 #include "store/sharded.hpp"
+#include "trace/v2_fixture.hpp"
 
 namespace ssdfail::store {
 namespace {
@@ -34,13 +36,14 @@ trace::FleetTrace simulated_fleet(std::uint32_t drives_per_model = 12,
   return sim::FleetSimulator(cfg).generate_all();
 }
 
-ColumnarFleetView encode_view(const trace::FleetTrace& fleet, std::uint32_t version,
-                              std::uint32_t chunk_drives) {
+/// The committed v2 fixture (nothing writes v2 any more).
+ColumnarFleetView v2_fixture_view() {
+  return ColumnarFleetView::open(trace::testing::v2_fixture_path());
+}
+
+ColumnarFleetView encode_view(const trace::FleetTrace& fleet, std::uint32_t chunk_drives) {
   std::ostringstream out(std::ios::binary);
-  ColumnarWriteOptions opts;
-  opts.chunk_drives = chunk_drives;
-  opts.version = version;
-  write_columnar(out, fleet, opts);
+  write_columnar(out, fleet, {chunk_drives});
   const std::string s = out.str();
   return ColumnarFleetView::from_buffer({s.begin(), s.end()});
 }
@@ -52,6 +55,14 @@ void expect_datasets_identical(const ml::Dataset& a, const ml::Dataset& b) {
   ASSERT_EQ(a.y, b.y);
   ASSERT_EQ(a.groups, b.groups);
   ASSERT_EQ(a.feature_names, b.feature_names);
+}
+
+/// The v2 leg of a "both versions" build test: nothing writes v2, so the
+/// committed fixture must build exactly what the row path builds from the
+/// fleet it encodes.
+void expect_v2_fixture_builds_like_row_path(const core::DatasetBuildOptions& opts) {
+  expect_datasets_identical(core::build_dataset(trace::testing::sweep_fleet(), opts),
+                            core::build_dataset(v2_fixture_view(), opts));
 }
 
 /// Ground truth for may_match: does any row of the chunk satisfy the
@@ -90,12 +101,11 @@ TEST(ZoneMapPruning, ModelFilteredBuildsMatchRowPathBothVersions) {
   for (const trace::DriveModel model : trace::kAllModels) {
     opts.model_filter = model;
     const ml::Dataset expected = core::build_dataset(fleet, opts);
-    for (const std::uint32_t version : {kColumnarVersion, kColumnarVersionV3}) {
-      for (const std::uint32_t chunk_drives : {3u, 1000000u}) {  // multi / single chunk
-        const ColumnarFleetView view = encode_view(fleet, version, chunk_drives);
-        expect_datasets_identical(expected, core::build_dataset(view, opts));
-      }
+    for (const std::uint32_t chunk_drives : {3u, 1000000u}) {  // multi / single chunk
+      const ColumnarFleetView view = encode_view(fleet, chunk_drives);
+      expect_datasets_identical(expected, core::build_dataset(view, opts));
     }
+    expect_v2_fixture_builds_like_row_path(opts);
   }
 }
 
@@ -104,9 +114,8 @@ TEST(ZoneMapPruning, UnfilteredBuildsMatchRowPathBothVersions) {
   core::DatasetBuildOptions opts;
   opts.negative_keep_prob = 0.3;
   const ml::Dataset expected = core::build_dataset(fleet, opts);
-  for (const std::uint32_t version : {kColumnarVersion, kColumnarVersionV3})
-    expect_datasets_identical(
-        expected, core::build_dataset(encode_view(fleet, version, 5), opts));
+  expect_datasets_identical(expected, core::build_dataset(encode_view(fleet, 5), opts));
+  expect_v2_fixture_builds_like_row_path(opts);
 }
 
 TEST(ZoneMapPruning, FilterMatchingNothingYieldsEmptyDatasetIdentically) {
@@ -119,9 +128,7 @@ TEST(ZoneMapPruning, FilterMatchingNothingYieldsEmptyDatasetIdentically) {
   opts.model_filter = trace::DriveModel::MlcD;
   const ml::Dataset expected = core::build_dataset(fleet, opts);
   EXPECT_EQ(expected.size(), 0u);
-  for (const std::uint32_t version : {kColumnarVersion, kColumnarVersionV3})
-    expect_datasets_identical(
-        expected, core::build_dataset(encode_view(fleet, version, 4), opts));
+  expect_datasets_identical(expected, core::build_dataset(encode_view(fleet, 4), opts));
 }
 
 TEST(ZoneMapPruning, AllSwapFreeFleetBuildsIdentically) {
@@ -131,23 +138,21 @@ TEST(ZoneMapPruning, AllSwapFreeFleetBuildsIdentically) {
   opts.model_filter = trace::DriveModel::MlcB;
   opts.negative_keep_prob = 0.25;
   const ml::Dataset expected = core::build_dataset(fleet, opts);
-  for (const std::uint32_t version : {kColumnarVersion, kColumnarVersionV3}) {
-    const ColumnarFleetView view = encode_view(fleet, version, 4);
-    EXPECT_EQ(view.total_swaps(), 0u);
-    expect_datasets_identical(expected, core::build_dataset(view, opts));
-    // with_swaps_only over a swap-free fleet: every chunk is provably
-    // irrelevant.
-    ScanPredicate swaps_only;
-    swaps_only.with_swaps_only = true;
-    for (std::size_t c = 0; c < view.chunk_count(); ++c)
-      EXPECT_FALSE(view.zone_map(c).may_match(swaps_only));
-  }
+  const ColumnarFleetView view = encode_view(fleet, 4);
+  EXPECT_EQ(view.total_swaps(), 0u);
+  expect_datasets_identical(expected, core::build_dataset(view, opts));
+  // with_swaps_only over a swap-free fleet: every chunk is provably
+  // irrelevant.
+  ScanPredicate swaps_only;
+  swaps_only.with_swaps_only = true;
+  for (std::size_t c = 0; c < view.chunk_count(); ++c)
+    EXPECT_FALSE(view.zone_map(c).may_match(swaps_only));
 }
 
 TEST(ZoneMapPruning, MayMatchIsConservativeOverSeededFleets) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const trace::FleetTrace fleet = simulated_fleet(6, seed);
-    const ColumnarFleetView view = encode_view(fleet, kColumnarVersionV3, 4);
+    const ColumnarFleetView view = encode_view(fleet, 4);
 
     std::vector<ScanPredicate> predicates;
     predicates.push_back({});  // match-all
@@ -186,7 +191,7 @@ TEST(ZoneMapPruning, MayMatchIsConservativeOverSeededFleets) {
 
 TEST(ZoneMapPruning, DayRangePredicatesPruneDisjointChunksInV3) {
   const trace::FleetTrace fleet = simulated_fleet(6);
-  const ColumnarFleetView view = encode_view(fleet, kColumnarVersionV3, 4);
+  const ColumnarFleetView view = encode_view(fleet, 4);
   ASSERT_GT(view.chunk_count(), 0u);
   ScanPredicate far_future;
   far_future.min_day = 1 << 28;  // beyond any simulated day
@@ -194,7 +199,8 @@ TEST(ZoneMapPruning, DayRangePredicatesPruneDisjointChunksInV3) {
     EXPECT_FALSE(view.zone_map(c).may_match(far_future));
   // v2 zone maps lack day stats: the same predicate must NOT prune (it
   // cannot prove emptiness), only stay conservative.
-  const ColumnarFleetView v2 = encode_view(fleet, kColumnarVersion, 4);
+  const ColumnarFleetView v2 = v2_fixture_view();
+  ASSERT_GT(v2.chunk_count(), 0u);
   for (std::size_t c = 0; c < v2.chunk_count(); ++c)
     EXPECT_TRUE(v2.zone_map(c).may_match(far_future));
 }
@@ -223,12 +229,11 @@ TEST(ZoneMapPruning, SwapRangeAndDayWindowBuildsMatchRowPathBothVersions) {
     opts.min_day = w.min_day;
     opts.max_day = w.max_day;
     const ml::Dataset expected = core::build_dataset(fleet, opts);
-    for (const std::uint32_t version : {kColumnarVersion, kColumnarVersionV3}) {
-      for (const std::uint32_t chunk_drives : {3u, 1000000u}) {
-        const ColumnarFleetView view = encode_view(fleet, version, chunk_drives);
-        expect_datasets_identical(expected, core::build_dataset(view, opts));
-      }
+    for (const std::uint32_t chunk_drives : {3u, 1000000u}) {
+      const ColumnarFleetView view = encode_view(fleet, chunk_drives);
+      expect_datasets_identical(expected, core::build_dataset(view, opts));
     }
+    expect_v2_fixture_builds_like_row_path(opts);
   }
 }
 
@@ -264,16 +269,59 @@ TEST(ZoneMapPruning, SwapRangePredicatePrunesSwapFreeChunksEvenInV2) {
   for (trace::DriveHistory& d : fleet.drives) d.swaps.clear();
   ScanPredicate pred;
   pred.min_swap_day = 0;
-  for (const std::uint32_t version : {kColumnarVersion, kColumnarVersionV3}) {
-    const ColumnarFleetView view = encode_view(fleet, version, 4);
-    for (std::size_t c = 0; c < view.chunk_count(); ++c)
-      EXPECT_FALSE(view.zone_map(c).may_match(pred));
+  const ColumnarFleetView view = encode_view(fleet, 4);
+  for (std::size_t c = 0; c < view.chunk_count(); ++c)
+    EXPECT_FALSE(view.zone_map(c).may_match(pred));
+
+  // A v2 zone map has no swap-day stats, only the swap count synthesized
+  // from the chunk header: a chunk prunes exactly when that count is zero.
+  const ColumnarFleetView v2 = v2_fixture_view();
+  for (std::size_t c = 0; c < v2.chunk_count(); ++c) {
+    ChunkZoneMap zone = v2.zone_map(c);
+    ASSERT_FALSE(zone.stats_valid);
+    ASSERT_GT(zone.n_swaps, 0u);  // every fixture chunk holds swaps
+    EXPECT_TRUE(zone.may_match(pred)) << "chunk " << c;
+    zone.n_swaps = 0;
+    EXPECT_FALSE(zone.may_match(pred)) << "chunk " << c;
+  }
+}
+
+TEST(ZoneMapPruning, V2FixtureZoneMapsAreSynthesizedFromTheDriveIndex) {
+  // v2 footers carry no zone maps: the reader synthesizes the model mask
+  // and the record and swap counts, and marks the column stats invalid.
+  const trace::FleetTrace fleet = trace::testing::sweep_fleet();
+  const ColumnarFleetView view = v2_fixture_view();
+  const std::size_t per_chunk = trace::testing::kV2FixtureChunkDrives;
+  ASSERT_EQ(view.chunk_count(), (fleet.drives.size() + per_chunk - 1) / per_chunk);
+  for (std::size_t c = 0; c < view.chunk_count(); ++c) {
+    std::uint32_t mask = 0;
+    std::uint64_t records = 0;
+    std::uint64_t swaps = 0;
+    for (std::size_t d = c * per_chunk; d < std::min((c + 1) * per_chunk, fleet.drives.size());
+         ++d) {
+      mask |= 1u << static_cast<std::uint32_t>(fleet.drives[d].model);
+      records += fleet.drives[d].records.size();
+      swaps += fleet.drives[d].swaps.size();
+    }
+    const ChunkZoneMap& zone = view.zone_map(c);
+    EXPECT_FALSE(zone.stats_valid) << "chunk " << c;
+    EXPECT_EQ(zone.model_mask, mask) << "chunk " << c;
+    EXPECT_EQ(zone.n_records, records) << "chunk " << c;
+    EXPECT_EQ(zone.n_swaps, swaps) << "chunk " << c;
+    // Model predicates prune by the synthesized mask.
+    for (const trace::DriveModel model : trace::kAllModels) {
+      ScanPredicate pred;
+      pred.model = model;
+      EXPECT_EQ(zone.may_match(pred),
+                (mask & (1u << static_cast<std::uint32_t>(model))) != 0)
+          << "chunk " << c << " model " << trace::model_name(model);
+    }
   }
 }
 
 TEST(ZoneMapPruning, SwapDayStatsPruneDisjointRangesInV3) {
   const trace::FleetTrace fleet = simulated_fleet(12, 3);
-  const ColumnarFleetView view = encode_view(fleet, kColumnarVersionV3, 4);
+  const ColumnarFleetView view = encode_view(fleet, 4);
   ScanPredicate far_future;
   far_future.min_swap_day = 1 << 28;
   for (std::size_t c = 0; c < view.chunk_count(); ++c)
@@ -315,7 +363,7 @@ TEST(ZoneMapPruning, MixedClassFleetRoundTripsThroughV3AndShardedStore) {
     for (const std::uint32_t chunk_drives : {3u, 1000000u})
       expect_datasets_identical(
           expected,
-          core::build_dataset(encode_view(fleet, kColumnarVersionV3, chunk_drives),
+          core::build_dataset(encode_view(fleet, chunk_drives),
                               opts));
     // Sharded v3 store: write to disk, reopen, build.
     const std::filesystem::path dir =
@@ -323,7 +371,6 @@ TEST(ZoneMapPruning, MixedClassFleetRoundTripsThroughV3AndShardedStore) {
         ("ssdfail_zonemap_mixed_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
     ShardedWriteOptions wopts;
-    wopts.store.version = kColumnarVersionV3;
     wopts.store.chunk_drives = 4;
     wopts.drives_per_shard = 10;
     write_sharded(dir.string(), fleet, wopts);
@@ -340,7 +387,7 @@ TEST(ZoneMapPruning, DeviceClassPredicatePrunesExactlyLikeAnUnprunedScan) {
   // so single-class runs of the model-major fleet produce genuinely
   // prunable chunks for every class.
   const trace::FleetTrace fleet = mixed_fleet(6, 7);
-  const ColumnarFleetView view = encode_view(fleet, kColumnarVersionV3, 4);
+  const ColumnarFleetView view = encode_view(fleet, 4);
   for (const trace::DeviceClass cls : trace::kAllDeviceClasses) {
     ScanPredicate pred;
     pred.device_class = cls;
@@ -371,7 +418,7 @@ TEST(ZoneMapPruning, DeviceClassPredicatePrunesExactlyLikeAnUnprunedScan) {
 
 TEST(ZoneMapPruning, V3ZoneStatsMatchDecodedColumns) {
   const trace::FleetTrace fleet = simulated_fleet(5);
-  const ColumnarFleetView view = encode_view(fleet, kColumnarVersionV3, 3);
+  const ColumnarFleetView view = encode_view(fleet, 3);
   for (std::size_t c = 0; c < view.chunk_count(); ++c) {
     const ChunkZoneMap& zone = view.zone_map(c);
     ASSERT_TRUE(zone.stats_valid);

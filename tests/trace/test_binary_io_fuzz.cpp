@@ -1,12 +1,14 @@
 // Property/fuzz suite for the binary trace formats (v1 row, v2 columnar,
-// v3 compressed columnar).
+// v3 compressed columnar).  v1 and v3 images come from the writers; v2 is
+// read-only, so its image is the committed fixture (trace/v2_fixture.hpp).
 //
 // Three guarantees, exercised byte by byte (this binary also runs under
 // the CI AddressSanitizer job, which is what turns "no crash" into a real
 // memory-safety check):
 //
 //   1. Round-trip: random fleets of every shape serialize and parse back
-//      field-for-field exact, in both formats.
+//      field-for-field exact, in both written formats; the v2 fixture
+//      parses back to the fleet it encodes.
 //   2. Truncation: EVERY prefix of a valid file raises a clean
 //      std::runtime_error — never a crash, hang, or silent short fleet.
 //   3. Corruption: for v2 and v3, EVERY single-bit flip raises
@@ -24,54 +26,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/rng.hpp"
 #include "store/columnar.hpp"
+#include "store/crc32.hpp"
 #include "trace/binary_io.hpp"
+#include "trace/v2_fixture.hpp"
 
 namespace ssdfail::trace {
 namespace {
 
-FleetTrace random_fleet(stats::Rng& rng) {
-  FleetTrace fleet;
-  const std::size_t n_drives = rng.uniform_index(7);  // includes the empty fleet
-  for (std::size_t d = 0; d < n_drives; ++d) {
-    DriveHistory drive;
-    drive.model = kAllModels[rng.uniform_index(kNumModels)];
-    drive.drive_index = static_cast<std::uint32_t>(rng.next_u32());
-    drive.deploy_day = static_cast<std::int32_t>(rng.uniform_index(1000)) - 100;
-    const std::size_t n_records = rng.uniform_index(40);  // includes zero records
-    std::int32_t day = drive.deploy_day;
-    for (std::size_t r = 0; r < n_records; ++r) {
-      DailyRecord rec;
-      day += static_cast<std::int32_t>(1 + rng.uniform_index(3));  // gaps are legal
-      rec.day = day;
-      rec.reads = rng.next_u32();
-      rec.writes = rng.next_u32();
-      rec.erases = rng.next_u32();
-      rec.pe_cycles = rng.next_u32();
-      rec.bad_blocks = rng.next_u32();
-      rec.factory_bad_blocks = static_cast<std::uint16_t>(rng.next_u32());
-      rec.read_only = rng.uniform() < 0.1;
-      rec.dead = rng.uniform() < 0.05;
-      for (std::uint32_t& e : rec.errors) e = rng.next_u32();
-      drive.records.push_back(rec);
-    }
-    const std::size_t n_swaps = rng.uniform_index(4);
-    std::int32_t swap_day = drive.deploy_day;
-    for (std::size_t s = 0; s < n_swaps; ++s) {
-      swap_day += static_cast<std::int32_t>(1 + rng.uniform_index(50));
-      drive.swaps.push_back({swap_day});
-    }
-    fleet.drives.push_back(std::move(drive));
-  }
-  return fleet;
-}
+using testing::random_fleet;
+using testing::sweep_fleet;
 
 void expect_exact(const FleetTrace& a, const FleetTrace& b) {
   ASSERT_EQ(a.drives.size(), b.drives.size());
@@ -97,16 +70,23 @@ const char* version_name(Version v) {
   }
 }
 
+/// `fleet` as a v1 or v3 image.  Nothing writes v2: its image is the
+/// committed fixture, which is only ever sweep_fleet() (sweep_image).
 std::string encode(const FleetTrace& fleet, Version version) {
   std::ostringstream out(std::ios::binary);
   if (version == Version::kV1) {
     write_binary(out, fleet);
-  } else if (version == Version::kV2) {
-    write_binary_v2(out, fleet, 3);  // small chunks: exercise multi-chunk layout
   } else {
-    write_binary_v3(out, fleet, 3);
+    write_binary_v3(out, fleet, 3);  // small chunks: exercise multi-chunk layout
   }
   return out.str();
+}
+
+/// sweep_fleet() as an image of `version`.
+std::string sweep_image(Version version) {
+  if (version != Version::kV2) return encode(sweep_fleet(), version);
+  const std::vector<char> bytes = testing::v2_fixture_bytes();
+  return {bytes.begin(), bytes.end()};
 }
 
 FleetTrace decode(const std::string& bytes) {
@@ -114,35 +94,72 @@ FleetTrace decode(const std::string& bytes) {
   return read_binary(in);
 }
 
-/// A small but shape-rich fleet for the exhaustive byte-level sweeps.
-FleetTrace sweep_fleet() {
-  stats::Rng rng(2024);
-  FleetTrace fleet = random_fleet(rng);
-  while (fleet.total_records() < 30 || fleet.drives.size() < 3)
-    fleet = random_fleet(rng);
-  return fleet;
-}
-
 TEST(BinaryIoFuzz, RandomFleetsRoundTripAllVersions) {
   stats::Rng rng(99);
   for (int trial = 0; trial < 25; ++trial) {
     const FleetTrace fleet = random_fleet(rng);
     expect_exact(fleet, decode(encode(fleet, Version::kV1)));
-    expect_exact(fleet, decode(encode(fleet, Version::kV2)));
     expect_exact(fleet, decode(encode(fleet, Version::kV3)));
+  }
+}
+
+TEST(BinaryIoFuzz, V2FixtureDecodesToSweepFleet) {
+  // The committed v2 image decodes field for field to the fleet it was
+  // written from, through read_binary and through the columnar view over
+  // every backing: mmap, heap, and an in-memory buffer.
+  const FleetTrace fleet = sweep_fleet();
+  const std::string image = sweep_image(Version::kV2);
+  ASSERT_EQ(image.size(), 6160u);
+  {
+    std::istringstream in(image);
+    EXPECT_EQ(peek_binary_version(in), kColumnarFormatVersion);
+  }
+  expect_exact(fleet, decode(image));
+
+  store::OpenOptions heap;
+  heap.allow_mmap = false;
+  for (const store::ColumnarFleetView& view :
+       {store::ColumnarFleetView::open(testing::v2_fixture_path()),
+        store::ColumnarFleetView::open(testing::v2_fixture_path(), heap),
+        store::ColumnarFleetView::from_buffer({image.begin(), image.end()})}) {
+    EXPECT_EQ(view.version(), store::kColumnarVersion);
+    EXPECT_EQ(view.chunk_drives(), testing::kV2FixtureChunkDrives);
+    EXPECT_EQ(view.chunk_count(), 2u);
+    EXPECT_EQ(view.drive_count(), 6u);
+    EXPECT_EQ(view.total_records(), 67u);
+    EXPECT_EQ(view.total_swaps(), 10u);
+    expect_exact(fleet, store::materialize(view));
   }
 }
 
 TEST(BinaryIoFuzz, ColumnarEncodingIsDeterministic) {
   stats::Rng rng(7);
   const FleetTrace fleet = random_fleet(rng);
-  EXPECT_EQ(encode(fleet, Version::kV2), encode(fleet, Version::kV2));
   EXPECT_EQ(encode(fleet, Version::kV3), encode(fleet, Version::kV3));
+}
+
+TEST(BinaryIoFuzz, WritingV2Throws) {
+  // v3 is the only columnar format written: every other version is
+  // rejected before a byte reaches the stream, by the store writer and by
+  // convert_binary.
+  const FleetTrace fleet = sweep_fleet();
+  for (const std::uint32_t version : {0u, 1u, 2u, 4u}) {
+    std::ostringstream out(std::ios::binary);
+    store::ColumnarWriteOptions options;
+    options.version = version;
+    EXPECT_THROW(store::write_columnar(out, fleet, options), std::runtime_error)
+        << "version " << version;
+    EXPECT_TRUE(out.str().empty()) << "version " << version;
+  }
+  std::istringstream in(encode(fleet, Version::kV1));
+  std::ostringstream out(std::ios::binary);
+  EXPECT_THROW(convert_binary(in, out, kColumnarFormatVersion), std::runtime_error);
+  EXPECT_TRUE(out.str().empty());
 }
 
 TEST(BinaryIoFuzz, EveryTruncationThrowsCleanly) {
   for (const Version version : {Version::kV1, Version::kV2, Version::kV3}) {
-    const std::string full = encode(sweep_fleet(), version);
+    const std::string full = sweep_image(version);
     for (std::size_t len = 0; len < full.size(); ++len) {
       EXPECT_THROW((void)decode(full.substr(0, len)), std::runtime_error)
           << version_name(version) << " prefix of " << len
@@ -152,9 +169,8 @@ TEST(BinaryIoFuzz, EveryTruncationThrowsCleanly) {
 }
 
 TEST(BinaryIoFuzz, EveryColumnarBitFlipIsDetected) {
-  const FleetTrace fleet = sweep_fleet();
   for (const Version version : {Version::kV2, Version::kV3}) {
-    const std::string good = encode(fleet, version);
+    const std::string good = sweep_image(version);
     std::string bad = good;
     for (std::size_t byte = 0; byte < good.size(); ++byte) {
       for (int bit = 0; bit < 8; ++bit) {
@@ -312,26 +328,38 @@ TEST(BinaryIoFuzz, UnverifiedV3DecodesAgreeOrRejectOnBothTargets) {
 TEST(BinaryIoFuzz, EmptyFleetIsAFooterValidStoreInBothColumnarVersions) {
   // The `convert` path of an empty input fleet must still emit a
   // footer-valid store: zero chunks, zero totals, CRC-checked footer,
-  // trailer — 72 bytes exactly (DATA_FORMAT.md §SSDF2 envelope).
+  // trailer — 72 bytes exactly (DATA_FORMAT.md §SSDF2 envelope).  With no
+  // chunks there is no directory, so the empty v2 store is the same
+  // envelope with version word 2 and its footer CRC (which covers the
+  // header) recomputed; the v2 reader must accept it.
   const FleetTrace empty;
-  for (const Version version : {Version::kV2, Version::kV3}) {
-    const std::string v1_image = encode(empty, Version::kV1);
-    std::istringstream in(v1_image);
-    std::ostringstream out(std::ios::binary);
-    convert_binary(in, out,
-                   version == Version::kV2 ? kColumnarFormatVersion
-                                           : kColumnarV3FormatVersion);
-    const std::string image = out.str();
-    EXPECT_EQ(image.size(), 72u) << version_name(version);
+  const std::string v1_image = encode(empty, Version::kV1);
+  std::istringstream in(v1_image);
+  std::ostringstream out(std::ios::binary);
+  convert_binary(in, out, kColumnarV3FormatVersion);
+  const std::string v3_image = out.str();
+  ASSERT_EQ(v3_image.size(), 72u);
+
+  std::string v2_image = v3_image;
+  constexpr std::size_t kFooterCrcAt = 16 + 4 * 8;  // header, four u64 totals
+  const std::uint32_t v2 = kColumnarFormatVersion;
+  std::memcpy(v2_image.data() + 4, &v2, sizeof(v2));
+  const std::uint32_t crc =
+      store::crc32(store::crc32(0, {v2_image.data(), 16}),
+                   {v2_image.data() + 16, kFooterCrcAt - 16});
+  std::memcpy(v2_image.data() + kFooterCrcAt, &crc, sizeof(crc));
+
+  for (const auto& [version, image] :
+       {std::pair{kColumnarFormatVersion, v2_image},
+        std::pair{kColumnarV3FormatVersion, v3_image}}) {
     {
       std::istringstream peek_in(image);
-      EXPECT_EQ(peek_binary_version(peek_in),
-                version == Version::kV2 ? 2u : 3u);
+      EXPECT_EQ(peek_binary_version(peek_in), version);
     }
-    const FleetTrace back = decode(image);
-    EXPECT_TRUE(back.drives.empty());
+    EXPECT_TRUE(decode(image).drives.empty());
     auto view = store::ColumnarFleetView::from_buffer(
         std::vector<char>(image.begin(), image.end()));
+    EXPECT_EQ(view.version(), version);
     EXPECT_EQ(view.chunk_count(), 0u);
     EXPECT_EQ(view.drive_count(), 0u);
   }
