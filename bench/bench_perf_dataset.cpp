@@ -51,7 +51,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_metrics.hpp"
 #include "core/dataset_builder.hpp"
@@ -73,6 +76,21 @@ core::DatasetBuildOptions build_options() {
   return opts;
 }
 
+/// The fixture files' directory: one per process, so concurrent runs never
+/// share files, and removed with everything in it at normal exit (static
+/// destruction after main returns).
+struct FixtureDir {
+  std::filesystem::path path = std::filesystem::temp_directory_path() /
+                               ("ssdfail_bench_dataset_" + std::to_string(::getpid()));
+  FixtureDir() { std::filesystem::create_directories(path); }
+  ~FixtureDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  FixtureDir(const FixtureDir&) = delete;
+  FixtureDir& operator=(const FixtureDir&) = delete;
+};
+
 /// One-time fixture: simulate the fleet, serialize both formats to temp
 /// files, and capture the shape numbers the analytic counters need.  The
 /// FleetTrace itself is dropped before any measurement loop runs.
@@ -85,6 +103,7 @@ struct Files {
 };
 
 const Files& files() {
+  static const FixtureDir fixture_dir;
   static const Files f = [] {
     sim::FleetConfig cfg;
     cfg.drives_per_model = kDrivesPerModel;
@@ -93,8 +112,7 @@ const Files& files() {
     const trace::FleetTrace fleet = sim::FleetSimulator(cfg).generate_all();
 
     Files out;
-    const auto dir = std::filesystem::temp_directory_path() / "ssdfail_bench_dataset";
-    std::filesystem::create_directories(dir);
+    const std::filesystem::path& dir = fixture_dir.path;
     out.v1_path = (dir / "fleet_v1.bin").string();
     out.dir = dir.string();
     {

@@ -1150,11 +1150,11 @@ int cmd_drift(const Args& args) {
   io::TextTable table("drift: reference vs current, per zone column");
   table.set_header({"column", "psi", "ks", "status"});
   for (std::size_t c = 0; c < store::kNumZoneColumns; ++c) {
+    const auto column = static_cast<store::ZoneColumn>(c);
     const online::DriftStat& stat = report.columns[c];
-    const bool hot = stat.psi >= config.psi_alert || stat.ks >= config.ks_alert;
-    table.add_row({online::zone_column_name(static_cast<store::ZoneColumn>(c)),
-                   io::TextTable::num(stat.psi), io::TextTable::num(stat.ks),
-                   hot ? "DRIFT" : "ok"});
+    table.add_row({online::zone_column_name(column), io::TextTable::num(stat.psi),
+                   io::TextTable::num(stat.ks),
+                   std::string(online::column_status(report, column, config))});
   }
   table.print(std::cout);
   std::printf("reference %llu rows, current %llu rows; max psi %.4f (%s), "

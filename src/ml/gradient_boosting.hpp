@@ -15,10 +15,6 @@
 
 namespace ssdfail::ml {
 
-/// Regression tree used as the boosting base learner (variance-reduction
-/// splits, Newton leaf values supplied by the booster).
-class BoostedTreeStump;
-
 class GradientBoosting final : public Classifier {
  public:
   struct Params {
@@ -62,11 +58,20 @@ class GradientBoosting final : public Classifier {
     [[nodiscard]] double predict(std::span<const float> row) const;
   };
 
-  /// Recursively build one regression tree on (gradient, hessian) targets.
-  std::int32_t build_node(const Dataset& train, const std::vector<double>& grad,
-                          const std::vector<double>& hess,
-                          std::vector<std::size_t>& idx, std::size_t begin,
-                          std::size_t end, std::size_t depth, Tree& tree);
+  /// Per-fit split-search buffers: every feature's rows presorted once
+  /// per fit, filtered to each round's subsample (gradient_boosting.cpp).
+  struct SplitBuffers;
+
+  /// Recursively build one regression tree on (gradient, hessian) targets
+  /// over the round's rows idx[begin, end).  Each feature's list holds the
+  /// same rows in (value, row) order in the same [begin, end) slice, so
+  /// the exact best-split sweep is one linear pass per feature with no
+  /// sort; a split stably partitions every list into left then right, so
+  /// both children's slices stay sorted.
+  std::int32_t build_node(const std::vector<double>& grad,
+                          const std::vector<double>& hess, SplitBuffers& buf,
+                          std::size_t begin, std::size_t end, std::size_t depth,
+                          Tree& tree);
 
   Params params_{};
   double prior_ = 0.0;  // F_0: log-odds of the base rate

@@ -148,12 +148,10 @@ DriftReport compare_fleets(const FeatureSketches& reference,
   report.window_rows = current.rows;
   for (std::size_t c = 0; c < store::kNumZoneColumns; ++c) {
     report.columns[c] = compare_sketches(reference.columns[c], current.columns[c]);
-    // Clock columns (day, swap day) drift by construction — two windows of
-    // a live stream always cover different day ranges (binned KS is
-    // exactly 1) — so they are reported but never drive the aggregates.
-    if (c == static_cast<std::size_t>(store::ZoneColumn::kDay) ||
-        c == static_cast<std::size_t>(store::ZoneColumn::kSwapDay))
-      continue;
+    // Clock columns drift by construction (binned KS is exactly 1 on
+    // disjoint day ranges), so they are reported but never drive the
+    // aggregates.
+    if (is_clock_column(static_cast<store::ZoneColumn>(c))) continue;
     if (report.columns[c].psi > report.max_psi) {
       report.max_psi = report.columns[c].psi;
       report.worst_column = c;
@@ -163,6 +161,14 @@ DriftReport compare_fleets(const FeatureSketches& reference,
   report.alert = current.rows >= config.min_window_rows &&
                  (report.max_psi >= config.psi_alert || report.max_ks >= config.ks_alert);
   return report;
+}
+
+std::string_view column_status(const DriftReport& report, store::ZoneColumn column,
+                               const DriftConfig& config) noexcept {
+  if (is_clock_column(column)) return "clock";
+  const DriftStat& stat = report.columns[static_cast<std::size_t>(column)];
+  const bool hot = stat.psi >= config.psi_alert || stat.ks >= config.ks_alert;
+  return hot && report.window_rows >= config.min_window_rows ? "DRIFT" : "ok";
 }
 
 DriftDetector::DriftDetector(DriftConfig config, obs::MetricsRegistry* registry)

@@ -38,6 +38,7 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
+#include <string_view>
 #include <optional>
 #include <span>
 #include <string>
@@ -89,6 +90,13 @@ struct FeatureSketches {
 /// Human-readable zone-column name ("reads", "err_uncorrectable", ...).
 [[nodiscard]] std::string zone_column_name(store::ZoneColumn column);
 
+/// True for the clock columns, kDay and kSwapDay.  Two windows of a live
+/// stream always cover different day ranges, so these drift by
+/// construction: reports show them but never judge them.
+[[nodiscard]] constexpr bool is_clock_column(store::ZoneColumn column) noexcept {
+  return column == store::ZoneColumn::kDay || column == store::ZoneColumn::kSwapDay;
+}
+
 /// Sketch a whole columnar file / sharded store — the offline side
 /// (training-time reference capture, and the CLI `drift` report).
 [[nodiscard]] FeatureSketches sketch_fleet(const store::ColumnarFleetView& view);
@@ -129,6 +137,14 @@ struct DriftReport {
   std::size_t worst_column = 0;  ///< argmax PSI over feature columns
   bool alert = false;            ///< thresholds crossed with enough rows
 };
+
+/// A column's status in a drift report: "clock" for a clock column;
+/// "DRIFT" for a feature column past either threshold with enough window
+/// rows to judge; else "ok".  `report.alert` is set exactly when some
+/// column's status is "DRIFT".
+[[nodiscard]] std::string_view column_status(const DriftReport& report,
+                                             store::ZoneColumn column,
+                                             const DriftConfig& config) noexcept;
 
 /// Streaming drift detector: reference sketches vs an accumulating
 /// current window, with online_* metric export.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -153,6 +154,56 @@ TEST(CompareFleets, FeatureShiftDrivesTheAggregatesAndAlert) {
   // The same shift below the minimum window size never alerts.
   cfg.min_window_rows = 10'000;
   EXPECT_FALSE(compare_fleets(ref, cur, cfg).alert);
+}
+
+TEST(CompareFleets, RowStatusesAgreeWithTheVerdict) {
+  // The report's row statuses must never contradict its verdict: clock
+  // columns read "clock" whatever their drift, and some feature row reads
+  // "DRIFT" exactly when the report alerts.
+  struct Scenario {
+    const char* name;
+    std::uint32_t cur_writes;
+    std::int32_t cur_day_offset;
+    std::uint64_t min_window_rows;
+    double psi_alert;
+  };
+  constexpr Scenario kScenarios[] = {
+      {"stationary, disjoint clocks", 500, 4096, 1, 0.25},
+      {"feature shift", 4000, 0, 1, 0.25},
+      {"feature shift and disjoint clocks", 4000, 4096, 1, 0.25},
+      {"feature shift below min rows", 4000, 0, 10'000, 0.25},
+      {"thresholds at zero", 500, 4096, 1, 0.0},
+  };
+  for (const Scenario& sc : kScenarios) {
+    FeatureSketches ref, cur;
+    for (std::int32_t d = 0; d < 600; ++d) {
+      ref.add_record(record_with(d, 500));
+      cur.add_record(record_with(d + sc.cur_day_offset, sc.cur_writes));
+    }
+    ref.add_swap_day(100);
+    cur.add_swap_day(100 + sc.cur_day_offset);
+    DriftConfig cfg;
+    cfg.min_window_rows = sc.min_window_rows;
+    cfg.psi_alert = sc.psi_alert;
+    const DriftReport report = compare_fleets(ref, cur, cfg);
+
+    bool any_drift = false;
+    for (std::size_t c = 0; c < store::kNumZoneColumns; ++c) {
+      const auto column = static_cast<store::ZoneColumn>(c);
+      const std::string_view status = column_status(report, column, cfg);
+      if (is_clock_column(column)) {
+        EXPECT_EQ(status, "clock") << sc.name << ": " << zone_column_name(column);
+      } else {
+        EXPECT_TRUE(status == "ok" || status == "DRIFT")
+            << sc.name << ": " << zone_column_name(column);
+        any_drift = any_drift || status == "DRIFT";
+      }
+    }
+    EXPECT_EQ(any_drift, report.alert) << sc.name;
+  }
+  EXPECT_TRUE(is_clock_column(store::ZoneColumn::kDay));
+  EXPECT_TRUE(is_clock_column(store::ZoneColumn::kSwapDay));
+  EXPECT_FALSE(is_clock_column(store::ZoneColumn::kWrites));
 }
 
 // ---------------------------------------------------------------------------
