@@ -197,20 +197,6 @@ void walk_source(const Source& src, const trace::DriveHistory& extract_drive,
   }
 }
 
-/// Drive-level swap-range filter: true when at least one swap day falls in
-/// [min_swap_day, max_swap_day].  The chunk-granular mirror of this check is
-/// ScanPredicate::{min_swap_day,max_swap_day} zone-map pruning.
-bool swap_range_admits(const DatasetBuildOptions& options,
-                       std::span<const std::int32_t> swap_days) noexcept {
-  if (!options.wants_swap_range()) return true;
-  for (const std::int32_t d : swap_days) {
-    if (options.min_swap_day && d < *options.min_swap_day) continue;
-    if (options.max_swap_day && d > *options.max_swap_day) continue;
-    return true;
-  }
-  return false;
-}
-
 template <typename Sink>
 void walk_drive(const trace::DriveHistory& drive, const DatasetBuildOptions& options,
                 Sink&& sink) {
@@ -218,16 +204,6 @@ void walk_drive(const trace::DriveHistory& drive, const DatasetBuildOptions& opt
   if (options.class_filter &&
       trace::device_class(drive.model) != *options.class_filter)
     return;
-  if (options.wants_swap_range()) {
-    bool hit = false;
-    for (const trace::SwapEvent& s : drive.swaps) {
-      if (options.min_swap_day && s.day < *options.min_swap_day) continue;
-      if (options.max_swap_day && s.day > *options.max_swap_day) continue;
-      hit = true;
-      break;
-    }
-    if (!hit) return;
-  }
   const DriveTimeline timeline = derive_timeline(drive);
   walk_source(RowSource{drive}, drive, timeline, options, std::forward<Sink>(sink));
 }
@@ -332,8 +308,6 @@ ml::Dataset build_from_chunks(std::span<const store::ColumnarFleetView* const> v
   predicate.device_class = options.class_filter;
   predicate.min_day = options.min_day;
   predicate.max_day = options.max_day;
-  predicate.min_swap_day = options.min_swap_day;
-  predicate.max_swap_day = options.max_swap_day;
 
   struct ChunkRef {
     const store::ColumnarFleetView* view;
@@ -359,11 +333,6 @@ ml::Dataset build_from_chunks(std::span<const store::ColumnarFleetView* const> v
       if (options.model_filter && *options.model_filter != ref.model) continue;
       if (options.class_filter &&
           trace::device_class(ref.model) != *options.class_filter)
-        continue;
-      // Swap-range drive filter: answered from the chunk's swap slots (the
-      // per-drive mirror of the zone-map pruning above).
-      if (!swap_range_admits(options,
-                             chunk.swap_days.subspan(ref.swap_begin, ref.swap_count)))
         continue;
       if (ref.swap_count == 0) {
         append_columnar_drive(partials[k], chunk, ref, options);

@@ -87,21 +87,6 @@ struct DatasetBuildOptions {
   /// store::ScanPredicate::{min_day,max_day} pushdown on columnar builds.
   std::optional<std::int32_t> min_day;
   std::optional<std::int32_t> max_day;
-
-  /// Restrict to drives with at least one swap event whose day lies in
-  /// [min_swap_day, max_swap_day] (set either; an unset bound is open; set
-  /// both to INT32_MIN/MAX-free sentinels by leaving them empty).  Lets the
-  /// Retrainer skip all-healthy drives — and, via zone-map pushdown
-  /// (store::ScanPredicate::{min_swap_day,max_swap_day}), entire all-healthy
-  /// chunks — when harvesting positives.  Applied per drive before the walk,
-  /// so pruned and unpruned builds stay bit-identical.
-  std::optional<std::int32_t> min_swap_day;
-  std::optional<std::int32_t> max_swap_day;
-
-  /// True when any swap-range drive filter is active.
-  [[nodiscard]] bool wants_swap_range() const noexcept {
-    return min_swap_day.has_value() || max_swap_day.has_value();
-  }
 };
 
 /// Build a dataset by streaming the fleet (parallel, deterministic).

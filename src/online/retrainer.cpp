@@ -1,8 +1,8 @@
 #include "online/retrainer.hpp"
 
 #include <exception>
-#include <limits>
 #include <utility>
+#include <vector>
 
 #include "store/sharded.hpp"
 
@@ -10,43 +10,21 @@ namespace ssdfail::online {
 
 ml::Dataset Retrainer::build_training_set(const store::ShardedFleetView& view,
                                           std::int32_t now_day) const {
-  const std::int32_t mature_end = now_day - config_.lookahead_days;
-  const std::optional<std::int32_t> window_begin =
-      config_.window_days > 0
-          ? std::optional<std::int32_t>(mature_end - config_.window_days + 1)
-          : std::nullopt;
+  core::DatasetBuildOptions options;
+  options.lookahead_days = config_.lookahead_days;
+  options.negative_keep_prob = config_.negative_keep_prob;
+  options.positive_keep_prob = 1.0;
+  options.seed = config_.seed;
+  options.max_day = now_day - config_.lookahead_days;
+  const ml::Dataset rows = core::build_dataset(view, options);
 
-  core::DatasetBuildOptions base;
-  base.lookahead_days = config_.lookahead_days;
-  base.seed = config_.seed;
-  base.min_day = window_begin;
-  base.max_day = mature_end;
-
-  // Pass 1 — subsampled negative background (positive rows all drop, so
-  // the passes partition the single-pass row set exactly).
-  core::DatasetBuildOptions negatives = base;
-  negatives.negative_keep_prob = config_.negative_keep_prob;
-  negatives.positive_keep_prob = 0.0;
-  ml::Dataset out = core::build_dataset(view, negatives);
-
-  // Pass 2 — every positive, harvested through swap-day pushdown: a
-  // positive row's swap lies at or after the row's day, so bounding the
-  // swap day below by the window start loses nothing and lets the zone
-  // maps skip all-healthy chunks entirely.  With no window the bound
-  // degenerates to "has any swap", which still prunes.
-  core::DatasetBuildOptions positives = base;
-  positives.negative_keep_prob = 0.0;
-  positives.positive_keep_prob = 1.0;
-  positives.min_swap_day =
-      window_begin.value_or(std::numeric_limits<std::int32_t>::min());
-  ml::Dataset pos = core::build_dataset(view, positives);
-
-  if (out.feature_names.empty()) out.feature_names = pos.feature_names;
-  out.x.append_rows(pos.x);
-  out.y.insert(out.y.end(), pos.y.begin(), pos.y.end());
-  out.groups.insert(out.groups.end(), pos.groups.begin(), pos.groups.end());
-  out.validate();
-  return out;
+  // Negatives first, then positives, each in scan order.
+  std::vector<std::size_t> order;
+  order.reserve(rows.size());
+  for (const float label : {0.0f, 1.0f})
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      if (rows.y[r] == label) order.push_back(r);
+  return rows.subset(order);
 }
 
 std::optional<RetrainResult> Retrainer::retrain(std::int32_t now_day) const {
@@ -68,11 +46,7 @@ std::optional<RetrainResult> Retrainer::retrain(std::int32_t now_day) const {
   result.model = std::move(model);
   result.rows = train.size();
   result.positives = train.positives();
-  const std::int32_t mature_end = now_day - config_.lookahead_days;
-  result.window_end = mature_end;
-  result.window_begin = config_.window_days > 0
-                            ? mature_end - config_.window_days + 1
-                            : std::numeric_limits<std::int32_t>::min();
+  result.window_end = now_day - config_.lookahead_days;
   result.shards = view.shard_count();
   return result;
 }

@@ -11,17 +11,8 @@
 // are eligible, so a "failure within N days" label can never be
 // contradicted by telemetry that has not arrived yet.
 //
-// Two scan passes keep the build cheap on a mostly-healthy fleet, exactly
-// partitioning the single-pass row set (core/dataset_builder.hpp's per-row
-// keep draws are keyed by (seed, uid, day), never by pass):
-//
-//   1. negatives: positive_keep_prob = 0 kills every positive row, leaving
-//      the usual subsampled negative background (full scan of the window).
-//   2. positives: negative_keep_prob = 0 + a swap-day lower bound.  Every
-//      positive row belongs to a drive with a swap in the window (derived
-//      failures correspond 1:1 to swap events), so ScanPredicate's
-//      min_swap_day pushdown lets the zone maps skip every all-healthy
-//      chunk without reading it.
+// One scan builds the Section 5.1 row set (every positive, a hash-keyed
+// fraction of negatives); rows come out negatives first, then positives.
 //
 // Determinism: given (store manifest, config), the result is bit-identical
 // regardless of ThreadPool size — shard scans are manifest-ordered, row
@@ -48,12 +39,9 @@ struct RetrainerConfig {
   /// Label horizon N: train "fails within N days", use only rows with
   /// day <= now - N.
   int lookahead_days = 7;
-  /// Train only on the trailing window of this many mature days; 0 uses
-  /// all mature history.
-  std::int32_t window_days = 0;
-  /// Background negative-row subsampling (pass 1).
+  /// Background negative-row subsampling (every positive is kept).
   double negative_keep_prob = 0.05;
-  /// Row-keep RNG seed (shared by both passes so they partition exactly).
+  /// Row-keep RNG seed (the draws are keyed by (seed, uid, day)).
   std::uint64_t seed = 101;
   /// Rows below this abort the retrain (a model fitted on a handful of
   /// rows is worse than keeping the champion).
@@ -68,7 +56,6 @@ struct RetrainResult {
   std::shared_ptr<const ml::Classifier> model;  ///< fitted GradientBoosting
   std::size_t rows = 0;
   std::size_t positives = 0;
-  std::int32_t window_begin = 0;  ///< first eligible day (INT32_MIN if open)
   std::int32_t window_end = 0;    ///< last eligible day (now - lookahead)
   std::size_t shards = 0;         ///< shards in the scanned manifest
 };
@@ -77,14 +64,14 @@ class Retrainer {
  public:
   explicit Retrainer(RetrainerConfig config) : config_(std::move(config)) {}
 
-  /// Build the label-matured training window ending at now_day - lookahead
+  /// Build the label-matured training set ending at now_day - lookahead
   /// and fit a fresh challenger.  Returns nullopt when the store cannot be
   /// opened (nothing compacted yet) or the window is below the row/positive
   /// minimums.  Never throws on a missing store.
   [[nodiscard]] std::optional<RetrainResult> retrain(std::int32_t now_day) const;
 
-  /// The dataset-assembly half of retrain(), exposed for tests and the CLI:
-  /// two-pass build over an already-open view, negatives then positives.
+  /// The dataset-assembly half of retrain(), exposed for tests and
+  /// perfbench: one build over an already-open view, negatives then positives.
   [[nodiscard]] ml::Dataset build_training_set(const store::ShardedFleetView& view,
                                                std::int32_t now_day) const;
 

@@ -161,16 +161,10 @@ bool ChunkZoneMap::may_match(const ScanPredicate& pred) const noexcept {
   if (pred.device_class &&
       (model_mask & trace::class_model_mask(*pred.device_class)) == 0)
     return false;
-  if (pred.wants_swaps() && n_swaps == 0) return false;
   if (stats_valid) {
     const ColumnStats& day = stats(ZoneColumn::kDay);
     if (pred.min_day && day.max < *pred.min_day) return false;
     if (pred.max_day && day.min > *pred.max_day) return false;
-    // n_swaps > 0 here (checked above when a swap bound is set), so the
-    // kSwapDay stats are meaningful.
-    const ColumnStats& swap_day = stats(ZoneColumn::kSwapDay);
-    if (pred.min_swap_day && swap_day.max < *pred.min_swap_day) return false;
-    if (pred.max_swap_day && swap_day.min > *pred.max_swap_day) return false;
   }
   return true;
 }

@@ -113,20 +113,6 @@ struct ScanPredicate {
   std::optional<trace::DeviceClass> device_class;
   std::optional<std::int32_t> min_day;         ///< rows with day >= min_day
   std::optional<std::int32_t> max_day;         ///< rows with day <= max_day
-  bool with_swaps_only = false;                ///< only drives with swap events
-  /// Swap-day range pushdown (the Retrainer's "recent failures" scan): only
-  /// drives with at least one swap event whose day lies in
-  /// [min_swap_day, max_swap_day] (either bound may be open).  Setting a
-  /// bound implies with_swaps_only — a swap-free chunk can never match.
-  /// Prunes against the ZoneColumn::kSwapDay min/max carried by v3 zone
-  /// maps; v2 files still prune swap-free chunks via n_swaps.
-  std::optional<std::int32_t> min_swap_day;
-  std::optional<std::int32_t> max_swap_day;
-
-  /// True when any swap-related constraint is active.
-  [[nodiscard]] bool wants_swaps() const noexcept {
-    return with_swaps_only || min_swap_day.has_value() || max_swap_day.has_value();
-  }
 };
 
 /// Per-chunk pruning metadata from the footer directory.  v3 files carry

@@ -115,8 +115,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ModelKind::kLogisticRegression, ModelKind::kKnn, ModelKind::kSvm,
                       ModelKind::kNeuralNetwork, ModelKind::kDecisionTree,
                       ModelKind::kRandomForest, ModelKind::kThresholdBaseline),
-    [](const auto& info) {
-      std::string n = model_display_name(info.param);
+    [](const auto& param_info) {
+      std::string n = model_display_name(param_info.param);
       std::erase_if(n, [](char c) { return !std::isalnum(static_cast<unsigned char>(c)); });
       return n;
     });

@@ -128,7 +128,9 @@ TEST(DriveSimulator, FailureDayIsLastActiveDay) {
       const std::int32_t fail = truth.failure_days[f];
       const std::int32_t swap = d.swaps[f].day;
       for (const auto& r : d.records)
-        if (r.day > fail && r.day < swap) ASSERT_TRUE(r.inactive());
+        if (r.day > fail && r.day < swap) {
+          ASSERT_TRUE(r.inactive());
+        }
       ++checked;
     }
   }
@@ -160,8 +162,9 @@ TEST(DriveSimulator, FinalReadErrorsOnlyOnUncorrectableDays) {
   for (std::uint32_t idx = 0; idx < 300; ++idx) {
     const DriveHistory d = simulate_drive(preset(DriveModel::MlcD), 10, idx, 2190);
     for (const auto& r : d.records)
-      if (r.error(ErrorType::kFinalRead) > 0)
+      if (r.error(ErrorType::kFinalRead) > 0) {
         ASSERT_GT(r.error(ErrorType::kUncorrectable), 0u);
+      }
   }
 }
 

@@ -232,8 +232,8 @@ TEST_P(CalibrationTest, MaxAgeDistributionMatchesFig1) {
 // default (MLC-only) fleet layout.
 INSTANTIATE_TEST_SUITE_P(MlcModels, CalibrationTest,
                          ::testing::ValuesIn(trace::kMlcModels),
-                         [](const auto& info) {
-                           std::string name(trace::model_name(info.param));
+                         [](const auto& param_info) {
+                           std::string name(trace::model_name(param_info.param));
                            return name.substr(name.find('-') + 1);
                          });
 

@@ -43,7 +43,9 @@ TEST_P(LifecyclePropertyTest, StructuralInvariantsHoldForManyDrives) {
       prev_pe = r.pe_cycles;
       prev_bb = r.bad_blocks;
       // Erases imply writes happened (block recycling needs written pages).
-      if (r.writes == 0) ASSERT_EQ(r.erases, 0u);
+      if (r.writes == 0) {
+        ASSERT_EQ(r.erases, 0u);
+      }
     }
 
     // Swap events strictly increasing and paired 1:1 (prefix) with truth
@@ -62,7 +64,9 @@ TEST_P(LifecyclePropertyTest, StructuralInvariantsHoldForManyDrives) {
 
     // The dead flag never appears on an operational (active) day.
     for (const auto& r : d.records)
-      if (r.dead) ASSERT_TRUE(r.inactive());
+      if (r.dead) {
+        ASSERT_TRUE(r.inactive());
+      }
   }
 }
 
@@ -75,10 +79,10 @@ INSTANTIATE_TEST_SUITE_P(
                       LifecycleCase{DriveModel::MlcD, 5, 90},
                       LifecycleCase{DriveModel::MlcA, 6, 30},
                       LifecycleCase{DriveModel::MlcB, 99, 1000}),
-    [](const auto& info) {
-      return std::string(trace::model_name(info.param.model)).substr(4) + "_w" +
-             std::to_string(info.param.window) + "_s" +
-             std::to_string(info.param.seed);
+    [](const auto& param_info) {
+      return std::string(trace::model_name(param_info.param.model)).substr(4) + "_w" +
+             std::to_string(param_info.param.window) + "_s" +
+             std::to_string(param_info.param.seed);
     });
 
 TEST(LifecycleEdgeCases, WindowOfOneDay) {
@@ -99,7 +103,9 @@ TEST(LifecycleEdgeCases, TruthFailuresMatchRecordsEnd) {
     if (truth.failure_days.size() != d.swaps.size() + 1) continue;
     const std::int32_t last_failure = truth.failure_days.back();
     for (const auto& r : d.records)
-      if (r.day > last_failure) ASSERT_TRUE(r.inactive());
+      if (r.day > last_failure) {
+        ASSERT_TRUE(r.inactive());
+      }
     ++verified;
   }
   EXPECT_GT(verified, 0);

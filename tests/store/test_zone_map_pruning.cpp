@@ -71,18 +71,6 @@ void expect_v2_fixture_builds_like_row_path(const core::DatasetBuildOptions& opt
 bool chunk_has_match(const ChunkView& chunk, const ScanPredicate& pred) {
   for (const DriveRef& ref : chunk.drives) {
     if (pred.model && *pred.model != ref.model) continue;
-    if (pred.wants_swaps() && ref.swap_count == 0) continue;
-    if (pred.min_swap_day || pred.max_swap_day) {
-      bool swap_hit = false;
-      for (std::size_t s = 0; s < ref.swap_count; ++s) {
-        const std::int32_t d = chunk.swap_days[ref.swap_begin + s];
-        if (pred.min_swap_day && d < *pred.min_swap_day) continue;
-        if (pred.max_swap_day && d > *pred.max_swap_day) continue;
-        swap_hit = true;
-        break;
-      }
-      if (!swap_hit) continue;
-    }
     for (std::size_t i = 0; i < ref.row_count; ++i) {
       const std::int32_t day = chunk.day[ref.row_begin + i];
       if (pred.min_day && day < *pred.min_day) continue;
@@ -141,12 +129,6 @@ TEST(ZoneMapPruning, AllSwapFreeFleetBuildsIdentically) {
   const ColumnarFleetView view = encode_view(fleet, 4);
   EXPECT_EQ(view.total_swaps(), 0u);
   expect_datasets_identical(expected, core::build_dataset(view, opts));
-  // with_swaps_only over a swap-free fleet: every chunk is provably
-  // irrelevant.
-  ScanPredicate swaps_only;
-  swaps_only.with_swaps_only = true;
-  for (std::size_t c = 0; c < view.chunk_count(); ++c)
-    EXPECT_FALSE(view.zone_map(c).may_match(swaps_only));
 }
 
 TEST(ZoneMapPruning, MayMatchIsConservativeOverSeededFleets) {
@@ -166,24 +148,14 @@ TEST(ZoneMapPruning, MayMatchIsConservativeOverSeededFleets) {
       p.min_day = lo;
       p.max_day = lo + 100;
       predicates.push_back(p);
-      p.with_swaps_only = true;
-      predicates.push_back(p);
-    }
-    for (const std::int32_t lo : {-100, 0, 30, 200, 700, 100000}) {
-      ScanPredicate p;
-      p.min_swap_day = lo;
-      predicates.push_back(p);
-      p.max_swap_day = lo + 150;
-      predicates.push_back(p);
-      p.min_swap_day.reset();
-      predicates.push_back(p);
     }
 
     for (const ScanPredicate& pred : predicates) {
       for (std::size_t c = 0; c < view.chunk_count(); ++c) {
-        if (chunk_has_match(view.chunk(c), pred))
+        if (chunk_has_match(view.chunk(c), pred)) {
           EXPECT_TRUE(view.zone_map(c).may_match(pred))
               << "seed " << seed << " chunk " << c << " pruned a matching chunk";
+        }
       }
     }
   }
@@ -205,27 +177,24 @@ TEST(ZoneMapPruning, DayRangePredicatesPruneDisjointChunksInV3) {
     EXPECT_TRUE(v2.zone_map(c).may_match(far_future));
 }
 
-TEST(ZoneMapPruning, SwapRangeAndDayWindowBuildsMatchRowPathBothVersions) {
-  // The Retrainer's scan shape: drives with a swap inside a recent window,
-  // prediction rows restricted to a label-matured day range.  Pruned
-  // columnar builds must stay bit-identical to the row path.
+TEST(ZoneMapPruning, DayWindowBuildsMatchRowPathBothVersions) {
+  // The Retrainer's scan shape: prediction rows restricted to a
+  // label-matured day range.  Pruned columnar builds must stay
+  // bit-identical to the row path.
   const trace::FleetTrace fleet = simulated_fleet(14, 99);
   core::DatasetBuildOptions opts;
   opts.lookahead_days = 7;
   opts.negative_keep_prob = 0.5;
   struct Window {
-    std::optional<std::int32_t> min_swap, max_swap, min_day, max_day;
+    std::optional<std::int32_t> min_day, max_day;
   };
   const Window windows[] = {
-      {200, std::nullopt, std::nullopt, std::nullopt},
-      {std::nullopt, 300, std::nullopt, std::nullopt},
-      {100, 500, 50, 450},
-      {1 << 28, std::nullopt, std::nullopt, std::nullopt},  // matches nothing
-      {std::nullopt, std::nullopt, 100, 400},               // day window only
+      {200, std::nullopt},
+      {std::nullopt, 300},
+      {50, 450},
+      {1 << 28, std::nullopt},  // matches nothing
   };
   for (const Window& w : windows) {
-    opts.min_swap_day = w.min_swap;
-    opts.max_swap_day = w.max_swap;
     opts.min_day = w.min_day;
     opts.max_day = w.max_day;
     const ml::Dataset expected = core::build_dataset(fleet, opts);
@@ -264,28 +233,6 @@ TEST(ZoneMapPruning, DayWindowedBuildIsSubsetOfUnwindowedBuild) {
   }
 }
 
-TEST(ZoneMapPruning, SwapRangePredicatePrunesSwapFreeChunksEvenInV2) {
-  trace::FleetTrace fleet = simulated_fleet(10, 77);
-  for (trace::DriveHistory& d : fleet.drives) d.swaps.clear();
-  ScanPredicate pred;
-  pred.min_swap_day = 0;
-  const ColumnarFleetView view = encode_view(fleet, 4);
-  for (std::size_t c = 0; c < view.chunk_count(); ++c)
-    EXPECT_FALSE(view.zone_map(c).may_match(pred));
-
-  // A v2 zone map has no swap-day stats, only the swap count synthesized
-  // from the chunk header: a chunk prunes exactly when that count is zero.
-  const ColumnarFleetView v2 = v2_fixture_view();
-  for (std::size_t c = 0; c < v2.chunk_count(); ++c) {
-    ChunkZoneMap zone = v2.zone_map(c);
-    ASSERT_FALSE(zone.stats_valid);
-    ASSERT_GT(zone.n_swaps, 0u);  // every fixture chunk holds swaps
-    EXPECT_TRUE(zone.may_match(pred)) << "chunk " << c;
-    zone.n_swaps = 0;
-    EXPECT_FALSE(zone.may_match(pred)) << "chunk " << c;
-  }
-}
-
 TEST(ZoneMapPruning, V2FixtureZoneMapsAreSynthesizedFromTheDriveIndex) {
   // v2 footers carry no zone maps: the reader synthesizes the model mask
   // and the record and swap counts, and marks the column stats invalid.
@@ -317,19 +264,6 @@ TEST(ZoneMapPruning, V2FixtureZoneMapsAreSynthesizedFromTheDriveIndex) {
           << "chunk " << c << " model " << trace::model_name(model);
     }
   }
-}
-
-TEST(ZoneMapPruning, SwapDayStatsPruneDisjointRangesInV3) {
-  const trace::FleetTrace fleet = simulated_fleet(12, 3);
-  const ColumnarFleetView view = encode_view(fleet, 4);
-  ScanPredicate far_future;
-  far_future.min_swap_day = 1 << 28;
-  for (std::size_t c = 0; c < view.chunk_count(); ++c)
-    EXPECT_FALSE(view.zone_map(c).may_match(far_future));
-  ScanPredicate far_past;
-  far_past.max_swap_day = -(1 << 28);
-  for (std::size_t c = 0; c < view.chunk_count(); ++c)
-    EXPECT_FALSE(view.zone_map(c).may_match(far_past));
 }
 
 // --- Heterogeneous device classes through the store (the PR 10 property):
