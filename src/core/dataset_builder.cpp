@@ -1,7 +1,6 @@
 #include "core/dataset_builder.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -345,24 +344,14 @@ ml::Dataset build_from_chunks(std::span<const store::ColumnarFleetView* const> v
   // Each worker owns one decode scratch and pulls chunks until none are
   // left, so a build keeps at most one uncached decoded chunk per worker
   // alive and recycles its buffer, instead of caching every chunk in the
-  // view.  Same sequential degradation as parallel_for: one worker (or one
-  // chunk) means TaskGroup handoff is pure overhead.
-  std::atomic<std::size_t> next{0};
-  const auto drain = [&] {
+  // view.
+  struct WorkerState {
     store::ChunkScratch scratch;
     trace::DriveHistory history;
-    for (std::size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) < chunks.size();)
-      build_chunk(k, scratch, history);
   };
-  parallel::ThreadPool& pool = parallel::ThreadPool::current();
-  if (pool.size() <= 1 || chunks.size() <= 1 || pool.on_worker_thread()) {
-    drain();
-  } else {
-    parallel::TaskGroup group(pool);
-    for (std::size_t w = 0; w < std::min<std::size_t>(pool.size(), chunks.size()); ++w)
-      group.submit(drain);
-    group.wait();
-  }
+  parallel::parallel_drain(
+      chunks.size(), [] { return WorkerState{}; },
+      [&](std::size_t k, WorkerState& w) { build_chunk(k, w.scratch, w.history); });
 
   ml::Dataset out;
   for (const ml::Dataset& partial : partials) {

@@ -122,7 +122,7 @@ CompactionResult compact_sealed_wals(const std::string& wal_dir,
   info.file = next_shard_name(store_dir, manifest);
   const std::filesystem::path shard_path =
       std::filesystem::path(store_dir) / info.file;
-  store::write_columnar_file(shard_path.string(), fleet, options.store);
+  store::write_columnar_file(shard_path.string(), fleet.drives, options.store);
   info.bytes = static_cast<std::uint64_t>(std::filesystem::file_size(shard_path));
   info.n_drives = fleet.drives.size();
   info.n_records = fleet.total_records();

@@ -14,7 +14,10 @@
 // Each run replays every sealed file (active logs are never touched — the
 // daemon owns those), reconstructs per-drive histories, writes ONE new v3
 // shard, appends it to the store directory's manifest atomically, and only
-// then deletes the consumed sealed files.  A crash between shard write and
+// then deletes the consumed sealed files.  The shard's chunks are encoded
+// in parallel on ThreadPool::current() (store::write_columnar), and its
+// bytes do not depend on the pool size: a compaction run as a task of a
+// pool encodes inline on the calling thread.  A crash between shard write and
 // deletion therefore re-compacts (duplicate drive histories in a later
 // shard) rather than losing data; a crash before the manifest rename
 // leaves the store exactly as it was.

@@ -23,6 +23,8 @@
 // submission from a worker is allowed — wait() helps drain its own group's
 // queued tasks, so nested waits cannot deadlock.
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -165,6 +167,30 @@ void parallel_for(std::size_t n, const Body& body, ThreadPool& pool = ThreadPool
     for (std::size_t i = begin; i < end; ++i) body(i);
   };
   pool.run_on_all(task);
+}
+
+/// Dynamic loop over [0, n): up to pool.size() tasks each build one state
+/// with make_state() and call body(i, state) for indices claimed from a
+/// shared counter until none are left.  Indices are claimed in increasing
+/// order across all tasks, so every index below a claimed one is already
+/// held by a running task.  Like parallel_for, it runs inline (one state,
+/// i in order) when the pool has one worker, n <= 1, or the caller is a
+/// worker of `pool`.  Exceptions from body propagate to the caller.
+template <typename MakeState, typename Body>
+void parallel_drain(std::size_t n, const MakeState& make_state, const Body& body,
+                    ThreadPool& pool = ThreadPool::current()) {
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    auto state = make_state();
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) body(i, state);
+  };
+  if (pool.size() <= 1 || n <= 1 || pool.on_worker_thread()) {
+    drain();
+    return;
+  }
+  TaskGroup group(pool);
+  for (std::size_t w = 0; w < std::min<std::size_t>(pool.size(), n); ++w) group.submit(drain);
+  group.wait();
 }
 
 /// Parallel reduction over [0, n).

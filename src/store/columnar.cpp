@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -70,10 +71,6 @@ void put(std::string& out, T value) {
   char bytes[sizeof(T)];
   std::memcpy(bytes, &value, sizeof(T));
   out.append(bytes, sizeof(T));
-}
-
-void pad8(std::string& out) {
-  while (out.size() % 8 != 0) out.push_back('\0');
 }
 
 /// Bounds-checked reader over [begin, end) of the file image.  Every
@@ -151,6 +148,167 @@ ColumnStats stats_of(std::span<const std::uint64_t> values) {
   return st;
 }
 
+/// One writer worker's encode state, reused for every chunk it encodes:
+/// the widened column, the codec's block widths and the chunk image.  The
+/// column and the image only grow, so after the largest chunk encoding
+/// allocates nothing.  Both are mappings (AnonymousMemory of at least
+/// kMinMappedBytes): only the pages written are resident, and they go back
+/// to the OS when the write ends instead of staying in the worker's malloc
+/// arena.
+class ChunkEncoder {
+ public:
+  /// Encode `drives` as one chunk image and return its directory entry
+  /// (offset left 0: it depends on the chunks before this one).
+  DirEntry encode(std::span<const trace::DriveHistory> drives);
+
+  /// The image of the last chunk encoded.
+  [[nodiscard]] std::span<const char> image() const noexcept {
+    return {reinterpret_cast<const char*>(image_.data()), size_};
+  }
+
+ private:
+  /// Room for `bytes` more image bytes, at the end of the image.  A full
+  /// image moves to a block at least twice its size.
+  char* reserve(std::size_t bytes) {
+    if (image_.size() - size_ < bytes) {
+      AnonymousMemory larger(
+          std::max({2 * image_.size(), size_ + bytes, AnonymousMemory::kMinMappedBytes}));
+      if (size_ != 0) std::memcpy(larger.data(), image_.data(), size_);
+      image_ = std::move(larger);
+    }
+    return reinterpret_cast<char*>(image_.data()) + size_;
+  }
+  template <typename T>
+  void put(T value) {
+    std::memcpy(reserve(sizeof(T)), &value, sizeof(T));
+    size_ += sizeof(T);
+  }
+  void pad8() {
+    const std::size_t aligned = (size_ + 7) & ~std::size_t{7};
+    std::memset(reserve(aligned - size_), 0, aligned - size_);
+    size_ = aligned;
+  }
+
+  AnonymousMemory column_;  ///< the widened u64 column being encoded
+  EncodeScratch codec_;
+  AnonymousMemory image_;
+  std::size_t size_ = 0;  ///< image bytes written
+};
+
+DirEntry ChunkEncoder::encode(std::span<const trace::DriveHistory> drives) {
+  DirEntry entry;
+  entry.n_drives = static_cast<std::uint32_t>(drives.size());
+  std::uint64_t n_swaps = 0;
+  for (const trace::DriveHistory& drive : drives) {
+    entry.n_records += drive.records.size();
+    n_swaps += drive.swaps.size();
+  }
+  ChunkZoneMap& zone = entry.zone;
+  zone.n_records = entry.n_records;
+  zone.n_swaps = n_swaps;
+  const std::size_t column_bytes =
+      static_cast<std::size_t>(std::max(entry.n_records, n_swaps)) * sizeof(std::uint64_t);
+  if (column_bytes > column_.size()) {
+    column_ = AnonymousMemory();  // unmap before mapping the larger block
+    column_ = AnonymousMemory(std::max(column_bytes, AnonymousMemory::kMinMappedBytes));
+  }
+  auto* const column = reinterpret_cast<std::uint64_t*>(column_.data());
+  size_ = 0;
+
+  put<std::uint32_t>(entry.n_drives);
+  put<std::uint32_t>(0);
+  put<std::uint64_t>(entry.n_records);
+  put<std::uint64_t>(n_swaps);
+
+  std::uint64_t row = 0;
+  std::uint64_t swap = 0;
+  for (const trace::DriveHistory& drive : drives) {
+    zone.model_mask |= 1u << static_cast<std::uint32_t>(drive.model);
+    put<std::uint8_t>(static_cast<std::uint8_t>(drive.model));
+    put<std::uint8_t>(0);
+    put<std::uint8_t>(0);
+    put<std::uint8_t>(0);
+    put<std::uint32_t>(drive.drive_index);
+    put<std::int32_t>(drive.deploy_day);
+    put<std::uint32_t>(0);
+    put<std::uint64_t>(row);
+    put<std::uint64_t>(drive.records.size());
+    put<std::uint64_t>(swap);
+    put<std::uint64_t>(drive.swaps.size());
+    row += drive.records.size();
+    swap += drive.swaps.size();
+  }
+
+  // Every column travels as an encoded frame — [align8] u32 encoding, u32
+  // reserved, u64 payload bytes, payload — emitted in ZoneColumn order,
+  // with the column's min/max recorded in the directory zone map as a
+  // side effect of the same pass.
+  std::size_t n = 0;  // values gathered into the column
+  const auto emit_frame = [&](std::size_t elem_bytes, ZoneColumn zc) {
+    const std::span<const std::uint64_t> values(column, n);
+    zone.columns[static_cast<std::size_t>(zc)] = stats_of(values);
+    zone.stats_valid = true;
+    pad8();
+    // The payload is encoded past its header, written once its size is
+    // known; it never exceeds the raw size reserved here.
+    const std::size_t raw_bytes = n * elem_bytes;
+    char* const payload = reserve(kFrameHeaderBytes + raw_bytes) + kFrameHeaderBytes;
+    const EncodedPayload enc =
+        encode_column(values, elem_bytes, std::span<char>(payload, raw_bytes), codec_);
+    put<std::uint32_t>(static_cast<std::uint32_t>(enc.encoding));
+    put<std::uint32_t>(0);
+    put<std::uint64_t>(enc.bytes);
+    size_ += enc.bytes;
+  };
+  const auto gather = [&](auto&& get) {
+    n = 0;
+    for (const trace::DriveHistory& drive : drives)
+      for (const trace::DailyRecord& r : drive.records) column[n++] = get(r);
+  };
+  const auto widen_i32 = [](std::int32_t v) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+  };
+  gather([&](const trace::DailyRecord& r) { return widen_i32(r.day); });
+  emit_frame(4, ZoneColumn::kDay);
+  gather([](const trace::DailyRecord& r) { return std::uint64_t{r.reads}; });
+  emit_frame(4, ZoneColumn::kReads);
+  gather([](const trace::DailyRecord& r) { return std::uint64_t{r.writes}; });
+  emit_frame(4, ZoneColumn::kWrites);
+  gather([](const trace::DailyRecord& r) { return std::uint64_t{r.erases}; });
+  emit_frame(4, ZoneColumn::kErases);
+  gather([](const trace::DailyRecord& r) { return std::uint64_t{r.pe_cycles}; });
+  emit_frame(4, ZoneColumn::kPeCycles);
+  gather([](const trace::DailyRecord& r) { return std::uint64_t{r.bad_blocks}; });
+  emit_frame(4, ZoneColumn::kBadBlocks);
+  gather([](const trace::DailyRecord& r) { return std::uint64_t{r.factory_bad_blocks}; });
+  emit_frame(2, ZoneColumn::kFactoryBadBlocks);
+  gather([](const trace::DailyRecord& r) {
+    return std::uint64_t{static_cast<std::uint8_t>((r.read_only ? 1 : 0) | (r.dead ? 2 : 0))};
+  });
+  emit_frame(1, ZoneColumn::kFlags);
+  for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e) {
+    gather([&](const trace::DailyRecord& r) { return std::uint64_t{r.errors[e]}; });
+    emit_frame(4, static_cast<ZoneColumn>(static_cast<std::size_t>(ZoneColumn::kError0) + e));
+  }
+  for (std::size_t x = 0; x < trace::kNumExtCounterFields; ++x) {
+    const trace::RecordCounterField& f = trace::kExtCounterFields[x];
+    gather([&](const trace::DailyRecord& r) { return std::uint64_t{r.*f.field}; });
+    emit_frame(4, static_cast<ZoneColumn>(
+                      static_cast<std::size_t>(ZoneColumn::kReallocatedSectors) + x));
+  }
+  n = 0;
+  for (const trace::DriveHistory& drive : drives)
+    for (const trace::SwapEvent& s : drive.swaps) column[n++] = widen_i32(s.day);
+  emit_frame(4, ZoneColumn::kSwapDay);
+  // Trailing pad is part of the chunk's recorded length (and CRC), so
+  // every byte between header and footer is covered by some checksum.
+  pad8();
+
+  entry.length = size_;
+  entry.crc = crc32(0, image());
+  return entry;
+}
+
 }  // namespace
 
 bool ChunkZoneMap::may_match(const ScanPredicate& pred) const noexcept {
@@ -169,8 +327,8 @@ bool ChunkZoneMap::may_match(const ScanPredicate& pred) const noexcept {
   return true;
 }
 
-void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
-                    const ColumnarWriteOptions& options) {
+void write_columnar(std::ostream& out, std::span<const trace::DriveHistory> drives,
+                    const ColumnarWriteOptions& options, parallel::ThreadPool& pool) {
   static const obs::SiteId kSite = obs::intern_site("store.write_columnar");
   obs::Span span(kSite);
   trace::detail::WriteByteCount byte_count(out, "columnar");
@@ -187,129 +345,58 @@ void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
   put<std::uint32_t>(header, 0);
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
 
-  std::vector<DirEntry> directory;
+  // Workers claim chunks in index order, encode each into their own
+  // recycled scratch, and append it to `out` once every earlier chunk is
+  // written, so a write holds at most one unwritten image per worker and
+  // the bytes never depend on which worker encoded which chunk.  Offsets
+  // are the running sum of the lengths, filled in below.
+  const std::size_t n_chunks = (drives.size() + chunk_drives - 1) / chunk_drives;
+  std::vector<DirEntry> directory(n_chunks);
+  std::mutex turn_mutex;
+  std::condition_variable turn_cv;
+  std::size_t written = 0;  // chunks appended to `out`
+  bool failed = false;      // a worker threw: the others stop
+  parallel::parallel_drain(
+      n_chunks, [] { return ChunkEncoder{}; },
+      [&](std::size_t k, ChunkEncoder& encoder) {
+        try {
+          {
+            const std::scoped_lock lock(turn_mutex);
+            if (failed) return;
+          }
+          const std::size_t first = k * chunk_drives;
+          directory[k] = encoder.encode(
+              drives.subspan(first, std::min<std::size_t>(chunk_drives, drives.size() - first)));
+          std::unique_lock lock(turn_mutex);
+          turn_cv.wait(lock, [&] { return written == k || failed; });
+          if (failed) return;
+          out.write(encoder.image().data(), static_cast<std::streamsize>(encoder.image().size()));
+          ++written;
+          turn_cv.notify_all();
+        } catch (...) {
+          {
+            const std::scoped_lock lock(turn_mutex);
+            failed = true;
+          }
+          turn_cv.notify_all();
+          throw;
+        }
+      },
+      pool);
+
   std::uint64_t offset = kHeaderBytes;
   std::uint64_t total_records = 0;
   std::uint64_t total_swaps = 0;
-
-  std::string chunk;
-  for (std::size_t first = 0; first < fleet.drives.size(); first += chunk_drives) {
-    const std::size_t last = std::min<std::size_t>(first + chunk_drives, fleet.drives.size());
-    const auto n_drives = static_cast<std::uint32_t>(last - first);
-    std::uint64_t n_records = 0;
-    std::uint64_t n_swaps = 0;
-    for (std::size_t d = first; d < last; ++d) {
-      n_records += fleet.drives[d].records.size();
-      n_swaps += fleet.drives[d].swaps.size();
-    }
-
-    chunk.clear();
-    put<std::uint32_t>(chunk, n_drives);
-    put<std::uint32_t>(chunk, 0);
-    put<std::uint64_t>(chunk, n_records);
-    put<std::uint64_t>(chunk, n_swaps);
-
-    ChunkZoneMap zone;
-    zone.n_records = n_records;
-    zone.n_swaps = n_swaps;
-
-    std::uint64_t row = 0;
-    std::uint64_t swap = 0;
-    for (std::size_t d = first; d < last; ++d) {
-      const trace::DriveHistory& drive = fleet.drives[d];
-      zone.model_mask |= 1u << static_cast<std::uint32_t>(drive.model);
-      put<std::uint8_t>(chunk, static_cast<std::uint8_t>(drive.model));
-      put<std::uint8_t>(chunk, 0);
-      put<std::uint8_t>(chunk, 0);
-      put<std::uint8_t>(chunk, 0);
-      put<std::uint32_t>(chunk, drive.drive_index);
-      put<std::int32_t>(chunk, drive.deploy_day);
-      put<std::uint32_t>(chunk, 0);
-      put<std::uint64_t>(chunk, row);
-      put<std::uint64_t>(chunk, drive.records.size());
-      put<std::uint64_t>(chunk, swap);
-      put<std::uint64_t>(chunk, drive.swaps.size());
-      row += drive.records.size();
-      swap += drive.swaps.size();
-    }
-
-    const auto for_each_record = [&](auto&& emit) {
-      for (std::size_t d = first; d < last; ++d)
-        for (const trace::DailyRecord& r : fleet.drives[d].records) emit(r);
-    };
-    // Every column travels as an encoded frame — [align8] u32
-    // encoding, u32 reserved, u64 payload bytes, payload — emitted in
-    // ZoneColumn order, with the column's min/max recorded in the
-    // directory zone map as a side effect of the same pass.
-    std::vector<std::uint64_t> scratch;
-    scratch.reserve(static_cast<std::size_t>(n_records));
-    const auto emit_frame = [&](std::size_t elem_bytes, ZoneColumn zc) {
-      zone.columns[static_cast<std::size_t>(zc)] = stats_of(scratch);
-      zone.stats_valid = true;
-      pad8(chunk);
-      const EncodedColumn enc = encode_column(scratch, elem_bytes);
-      put<std::uint32_t>(chunk, static_cast<std::uint32_t>(enc.encoding));
-      put<std::uint32_t>(chunk, 0);
-      put<std::uint64_t>(chunk, enc.payload.size());
-      chunk.append(enc.payload.data(), enc.payload.size());
-    };
-    const auto gather = [&](auto&& get) {
-      scratch.clear();
-      for_each_record([&](const trace::DailyRecord& r) { scratch.push_back(get(r)); });
-    };
-    const auto widen_i32 = [](std::int32_t v) {
-      return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-    };
-    gather([&](const trace::DailyRecord& r) { return widen_i32(r.day); });
-    emit_frame(4, ZoneColumn::kDay);
-    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.reads}; });
-    emit_frame(4, ZoneColumn::kReads);
-    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.writes}; });
-    emit_frame(4, ZoneColumn::kWrites);
-    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.erases}; });
-    emit_frame(4, ZoneColumn::kErases);
-    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.pe_cycles}; });
-    emit_frame(4, ZoneColumn::kPeCycles);
-    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.bad_blocks}; });
-    emit_frame(4, ZoneColumn::kBadBlocks);
-    gather([](const trace::DailyRecord& r) { return std::uint64_t{r.factory_bad_blocks}; });
-    emit_frame(2, ZoneColumn::kFactoryBadBlocks);
-    gather([](const trace::DailyRecord& r) {
-      return std::uint64_t{static_cast<std::uint8_t>((r.read_only ? 1 : 0) |
-                                                     (r.dead ? 2 : 0))};
-    });
-    emit_frame(1, ZoneColumn::kFlags);
-    for (std::size_t e = 0; e < trace::kNumErrorTypes; ++e) {
-      gather([&](const trace::DailyRecord& r) { return std::uint64_t{r.errors[e]}; });
-      emit_frame(4, static_cast<ZoneColumn>(
-                        static_cast<std::size_t>(ZoneColumn::kError0) + e));
-    }
-    for (std::size_t x = 0; x < trace::kNumExtCounterFields; ++x) {
-      const trace::RecordCounterField& f = trace::kExtCounterFields[x];
-      gather([&](const trace::DailyRecord& r) { return std::uint64_t{r.*f.field}; });
-      emit_frame(4, static_cast<ZoneColumn>(
-                        static_cast<std::size_t>(ZoneColumn::kReallocatedSectors) + x));
-    }
-    scratch.clear();
-    for (std::size_t d = first; d < last; ++d)
-      for (const trace::SwapEvent& s : fleet.drives[d].swaps)
-        scratch.push_back(widen_i32(s.day));
-    emit_frame(4, ZoneColumn::kSwapDay);
-    // Trailing pad is part of the chunk's recorded length (and CRC), so
-    // every byte between header and footer is covered by some checksum.
-    pad8(chunk);
-
-    DirEntry entry{offset, chunk.size(), crc32(0, chunk), n_drives, n_records, zone};
-    directory.push_back(std::move(entry));
-    out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    offset += chunk.size();
-    total_records += n_records;
-    total_swaps += n_swaps;
+  for (DirEntry& e : directory) {
+    e.offset = offset;
+    offset += e.length;
+    total_records += e.n_records;
+    total_swaps += e.zone.n_swaps;
   }
 
   std::string footer;
   put<std::uint64_t>(footer, directory.size());
-  put<std::uint64_t>(footer, fleet.drives.size());
+  put<std::uint64_t>(footer, drives.size());
   put<std::uint64_t>(footer, total_records);
   put<std::uint64_t>(footer, total_swaps);
   for (const DirEntry& e : directory) {
@@ -338,11 +425,16 @@ void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
   out.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
 }
 
-void write_columnar_file(const std::string& path, const trace::FleetTrace& fleet,
+void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
+                    const ColumnarWriteOptions& options) {
+  write_columnar(out, fleet.drives, options);
+}
+
+void write_columnar_file(const std::string& path, std::span<const trace::DriveHistory> drives,
                          const ColumnarWriteOptions& options) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) fail("cannot write " + path);
-  write_columnar(out, fleet, options);
+  write_columnar(out, drives, options);
   out.flush();
   if (!out) fail("write failed for " + path);
 }

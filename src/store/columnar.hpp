@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "parallel/thread_pool.hpp"
 #include "store/mmap_file.hpp"
 #include "trace/drive_history.hpp"
 
@@ -136,14 +137,25 @@ struct ChunkZoneMap {
   [[nodiscard]] bool may_match(const ScanPredicate& pred) const noexcept;
 };
 
-/// Write the fleet as an SSDF2 v3 columnar file to a binary stream.
-/// Throws std::runtime_error when options.version is not v3.
+/// Write `drives` as an SSDF2 v3 columnar file to a binary stream.
+/// Chunks are encoded in parallel on `pool`, each worker recycling one
+/// scratch (widened column, codec widths, chunk image), and appended in
+/// chunk order as they complete, so at most one unwritten chunk image per
+/// worker is alive.  The bytes do not depend on the pool size: a 1-worker
+/// pool, a single chunk, or a call from one of `pool`'s own workers runs
+/// the same encoder inline on the calling thread.  Throws
+/// std::runtime_error when options.version is not v3.
+void write_columnar(std::ostream& out, std::span<const trace::DriveHistory> drives,
+                    const ColumnarWriteOptions& options = {},
+                    parallel::ThreadPool& pool = parallel::ThreadPool::current());
+
+/// write_columnar over every drive of `fleet`.
 void write_columnar(std::ostream& out, const trace::FleetTrace& fleet,
                     const ColumnarWriteOptions& options = {});
 
-/// Write an SSDF2 file at `path` (truncates).  Throws std::runtime_error
-/// on I/O failure.
-void write_columnar_file(const std::string& path, const trace::FleetTrace& fleet,
+/// Write `drives` as an SSDF2 file at `path` (truncates) on the current
+/// pool.  Throws std::runtime_error on I/O failure.
+void write_columnar_file(const std::string& path, std::span<const trace::DriveHistory> drives,
                          const ColumnarWriteOptions& options = {});
 
 /// One drive's slice of a chunk: which column rows and swap slots are its.

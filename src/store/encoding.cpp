@@ -79,23 +79,22 @@ char* put_elem(char* dst, std::uint64_t v, std::size_t elem_bytes) {
   return dst;
 }
 
-/// Per-block bit widths and total payload size of the two bitpacked
-/// encodings, plus the RLE run count — everything the writer needs to pick
-/// the smallest encoding, from one pass over the column.
+/// Total payload size of the two bitpacked encodings, plus the RLE run
+/// count — with the per-block widths left in the scratch, everything the
+/// writer needs to pick the smallest encoding, from one pass over the
+/// column.
 struct EncodingSizes {
-  std::vector<std::uint8_t> delta_widths;
-  std::vector<std::uint8_t> plain_widths;
   std::size_t delta_bytes = 0;
   std::size_t plain_bytes = 0;
   std::size_t runs = 0;
 };
 
-EncodingSizes measure(std::span<const std::uint64_t> values) {
+EncodingSizes measure(std::span<const std::uint64_t> values, EncodeScratch& widths) {
   EncodingSizes s;
   const std::size_t n = values.size();
   const std::size_t blocks = (n + kPackBlock - 1) / kPackBlock;
-  s.delta_widths.resize(blocks);
-  s.plain_widths.resize(blocks);
+  widths.delta_widths.resize(blocks);
+  widths.plain_widths.resize(blocks);
   std::uint64_t prev = 0;
   std::size_t run = 0;  // length of the open RLE run (0: none yet)
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -116,10 +115,10 @@ EncodingSizes measure(std::span<const std::uint64_t> values) {
       prev = v;
     }
     // The OR of a block has the bit width of its largest element.
-    s.delta_widths[b] = static_cast<std::uint8_t>(std::bit_width(delta_bits));
-    s.plain_widths[b] = static_cast<std::uint8_t>(std::bit_width(plain_bits));
-    s.delta_bytes += 1 + packed_bytes(count, s.delta_widths[b]);
-    s.plain_bytes += 1 + packed_bytes(count, s.plain_widths[b]);
+    widths.delta_widths[b] = static_cast<std::uint8_t>(std::bit_width(delta_bits));
+    widths.plain_widths[b] = static_cast<std::uint8_t>(std::bit_width(plain_bits));
+    s.delta_bytes += 1 + packed_bytes(count, widths.delta_widths[b]);
+    s.plain_bytes += 1 + packed_bytes(count, widths.plain_widths[b]);
   }
   return s;
 }
@@ -268,25 +267,25 @@ void unpack_payload(std::span<const char> payload, std::span<T> out) {
 
 }  // namespace
 
-EncodedColumn encode_column(std::span<const std::uint64_t> values,
-                            std::size_t elem_bytes) {
+EncodedPayload encode_column(std::span<const std::uint64_t> values, std::size_t elem_bytes,
+                             std::span<char> out, EncodeScratch& scratch) {
   const std::size_t n = values.size();
-  const EncodingSizes sizes = measure(values);
+  if (out.size() < n * elem_bytes) throw std::length_error("column codec: output too small");
+  const EncodingSizes sizes = measure(values, scratch);
 
-  EncodedColumn enc;
-  std::size_t best = n * elem_bytes;  // kRaw
+  EncodedPayload enc;
+  enc.bytes = n * elem_bytes;  // kRaw
   const auto consider = [&](ColumnEncoding encoding, std::size_t bytes) {
-    if (bytes < best) {
+    if (bytes < enc.bytes) {
       enc.encoding = encoding;
-      best = bytes;
+      enc.bytes = bytes;
     }
   };
   consider(ColumnEncoding::kDeltaPack, sizes.delta_bytes);
   consider(ColumnEncoding::kBitPack, sizes.plain_bytes);
   consider(ColumnEncoding::kRle, sizes.runs * (sizeof(std::uint32_t) + elem_bytes));
 
-  enc.payload.resize(best);
-  char* dst = enc.payload.data();
+  char* dst = out.data();
   switch (enc.encoding) {
     case ColumnEncoding::kRaw:
       for (const std::uint64_t v : values) dst = put_elem(dst, v, elem_bytes);
@@ -294,7 +293,7 @@ EncodedColumn encode_column(std::span<const std::uint64_t> values,
     case ColumnEncoding::kDeltaPack: {
       std::uint64_t prev = 0;
       for (std::size_t b = 0, start = 0; start < n; ++b, start += kPackBlock) {
-        dst = pack_block(dst, std::min(kPackBlock, n - start), sizes.delta_widths[b],
+        dst = pack_block(dst, std::min(kPackBlock, n - start), scratch.delta_widths[b],
                          [&](std::size_t i) {
                            const std::uint64_t v = values[start + i];
                            const std::uint64_t z =
@@ -307,7 +306,7 @@ EncodedColumn encode_column(std::span<const std::uint64_t> values,
     }
     case ColumnEncoding::kBitPack:
       for (std::size_t b = 0, start = 0; start < n; ++b, start += kPackBlock) {
-        dst = pack_block(dst, std::min(kPackBlock, n - start), sizes.plain_widths[b],
+        dst = pack_block(dst, std::min(kPackBlock, n - start), scratch.plain_widths[b],
                          [&](std::size_t i) { return values[start + i]; });
       }
       break;

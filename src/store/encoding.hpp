@@ -51,18 +51,31 @@ enum class ColumnEncoding : std::uint32_t {
 /// Values per bitpacked block (kDeltaPack / kBitPack).
 inline constexpr std::size_t kPackBlock = 128;
 
-/// One encoded column: the chosen encoding plus its payload bytes.
-struct EncodedColumn {
+/// Per-block bit widths measured by encode_column, kept by the caller so
+/// a writer encoding column after column allocates them once.  One per
+/// concurrent encoder.
+struct EncodeScratch {
+  std::vector<std::uint8_t> delta_widths;
+  std::vector<std::uint8_t> plain_widths;
+};
+
+/// The encoding encode_column chose and the size of its payload.
+struct EncodedPayload {
   ColumnEncoding encoding = ColumnEncoding::kRaw;
-  std::vector<char> payload;
+  std::size_t bytes = 0;
 };
 
 /// Encode `values` (elements widened to u64; `elem_bytes` is the on-disk
-/// element size, 1..8) with the smallest applicable encoding.  Signed
-/// columns (i32 day/swap_day) must be widened with sign extension; the
-/// codec is value-preserving either way.
-[[nodiscard]] EncodedColumn encode_column(std::span<const std::uint64_t> values,
-                                          std::size_t elem_bytes);
+/// element size, 1..8) with the smallest applicable encoding, writing its
+/// payload to the front of `out`.  `out` must hold the raw size,
+/// values.size() * elem_bytes bytes, which the chosen payload never
+/// exceeds (std::length_error otherwise).  Signed columns (i32
+/// day/swap_day) must be widened with sign extension; the codec is
+/// value-preserving either way.  Once `scratch` has grown to the largest
+/// column, encoding allocates nothing.
+[[nodiscard]] EncodedPayload encode_column(std::span<const std::uint64_t> values,
+                                           std::size_t elem_bytes, std::span<char> out,
+                                           EncodeScratch& scratch);
 
 /// The element types a v3 column decodes into.
 template <typename T>

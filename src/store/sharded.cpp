@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -136,12 +137,11 @@ void write_sharded(const std::string& dir, const trace::FleetTrace& fleet,
 
   ShardManifest manifest;
   std::size_t shard_index = 0;
-  for (std::size_t first = 0; first < fleet.drives.size(); first += per_shard) {
-    const std::size_t last =
-        std::min<std::size_t>(first + per_shard, fleet.drives.size());
-    trace::FleetTrace part;
-    part.drives.assign(fleet.drives.begin() + static_cast<std::ptrdiff_t>(first),
-                       fleet.drives.begin() + static_cast<std::ptrdiff_t>(last));
+  const std::span<const trace::DriveHistory> drives = fleet.drives;
+  for (std::size_t first = 0; first < drives.size(); first += per_shard) {
+    // Each shard encodes straight from its range of the fleet.
+    const std::span<const trace::DriveHistory> part =
+        drives.subspan(first, std::min<std::size_t>(per_shard, drives.size() - first));
 
     char name[32];
     std::snprintf(name, sizeof(name), "shard-%06zu.ssdf2", shard_index++);
@@ -151,8 +151,8 @@ void write_sharded(const std::string& dir, const trace::FleetTrace& fleet,
     ShardInfo info;
     info.file = name;
     info.bytes = static_cast<std::uint64_t>(std::filesystem::file_size(path));
-    info.n_drives = part.drives.size();
-    for (const trace::DriveHistory& d : part.drives) {
+    info.n_drives = part.size();
+    for (const trace::DriveHistory& d : part) {
       info.n_records += d.records.size();
       info.n_swaps += d.swaps.size();
     }

@@ -11,8 +11,12 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -20,6 +24,7 @@
 #include "daemon/daemon.hpp"
 #include "daemon/wal.hpp"
 #include "daemon_test_util.hpp"
+#include "parallel/thread_pool.hpp"
 #include "store/sharded.hpp"
 
 namespace ssdfail::daemon {
@@ -255,6 +260,53 @@ TEST(Compactor, KeepWalLeavesSealedFilesInPlace) {
   EXPECT_EQ(again.shards_written, 1u);
   EXPECT_EQ(sealed_count(wal.path()), 0u);
   EXPECT_EQ(store::ShardedFleetView::open(store.path()).shard_count(), 2u);
+}
+
+TEST(Compactor, CompactedShardBytesArePinnedAtEveryPoolSize) {
+  // FNV-1a of the shard file's bytes, captured from the writer that
+  // encoded every chunk on the calling thread.
+  constexpr std::uint64_t kShardDigest = 0x74ace28b76b5b7f8ull;
+  const auto fnv1a = [](std::string_view bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  TempDir wal("pinned_wal");
+  const auto stream = make_stream(9, 40);
+  {
+    WalWriter w(wal_path(wal.path(), 0), 0, FsyncPolicy::kNever);
+    w.append(std::span<const core::FleetObservation>(stream.data(), 200));
+    w.seal(sealed_wal_path(wal.path(), 0, w.next_seq() - 1));
+    WalWriter w2(wal_path(wal.path(), 1), 1, FsyncPolicy::kNever);
+    w2.append(std::span<const core::FleetObservation>(stream.data() + 200,
+                                                      stream.size() - 200));
+    const std::uint64_t retired[] = {stream[2].uid(), stream[7].uid()};
+    w2.append_retires(retired);
+    w2.seal(sealed_wal_path(wal.path(), 1, w2.next_seq() - 1));
+  }
+  CompactorOptions options;
+  options.keep_wal = true;
+  options.store.chunk_drives = 2;  // nine drives -> five chunks
+  const auto compacted_digest = [&](const std::string& tag) {
+    TempDir store(tag);
+    const CompactionResult result = compact_sealed_wals(wal.path(), store.path(), options);
+    EXPECT_EQ(result.shards_written, 1u);
+    std::ifstream in(std::filesystem::path(store.path()) / result.shard_file,
+                     std::ios::binary);
+    return fnv1a(std::string(std::istreambuf_iterator<char>(in), {}));
+  };
+  // N workers: the shared pool, whatever this host sizes it to.
+  EXPECT_EQ(compacted_digest("pinned_store_n"), kShardDigest);
+  // 1 worker: the compaction runs as a task of a 1-worker pool.
+  parallel::ThreadPool serial(1);
+  std::uint64_t serial_digest = 0;
+  parallel::TaskGroup group(serial);
+  group.submit([&] { serial_digest = compacted_digest("pinned_store_1"); });
+  group.wait();
+  EXPECT_EQ(serial_digest, kShardDigest);
 }
 
 TEST(Compactor, EndToEndDaemonRotationThenCompaction) {

@@ -53,6 +53,69 @@ TEST(ParallelFor, SingleThreadFallback) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(ParallelDrain, VisitsEveryIndexOnceInIncreasingOrderPerState) {
+  ThreadPool pool(4);
+  const std::size_t n = 5000;
+  std::vector<std::atomic<int>> visits(n);
+  std::atomic<int> states{0};
+  std::atomic<bool> ordered{true};
+  struct State {
+    std::size_t last = 0;
+    bool any = false;
+  };
+  parallel_drain(
+      n, [&] { states.fetch_add(1); return State{}; },
+      [&](std::size_t i, State& st) {
+        if (st.any && i <= st.last) ordered.store(false);
+        st.last = i;
+        st.any = true;
+        visits[i].fetch_add(1);
+      },
+      pool);
+  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+  EXPECT_GE(states.load(), 1);
+  EXPECT_LE(states.load(), 4);
+  EXPECT_TRUE(ordered.load());
+}
+
+TEST(ParallelDrain, RunsInlineOnOneWorkerPoolAndFromAWorker) {
+  const auto drain_order = [](std::size_t n, ThreadPool& pool) {
+    std::vector<int> order;
+    int states = 0;
+    const std::thread::id caller = std::this_thread::get_id();
+    parallel_drain(
+        n, [&] { ++states; return 0; },
+        [&](std::size_t i, int&) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          order.push_back(static_cast<int>(i));
+        },
+        pool);
+    EXPECT_EQ(states, 1);
+    return order;
+  };
+  ThreadPool one(1);
+  EXPECT_EQ(drain_order(5, one), (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(drain_order(0, one).empty());
+
+  ThreadPool pool(3);
+  TaskGroup group(pool);
+  std::vector<int> nested;
+  group.submit([&] { nested = drain_order(6, pool); });
+  group.wait();
+  EXPECT_EQ(nested, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(ParallelDrain, PropagatesBodyException) {
+  ThreadPool pool(4);
+  EXPECT_THROW(parallel_drain(
+                   1000, [] { return 0; },
+                   [](std::size_t i, int&) {
+                     if (i == 500) throw std::invalid_argument("bad");
+                   },
+                   pool),
+               std::invalid_argument);
+}
+
 TEST(ParallelReduce, SumMatchesSequential) {
   ThreadPool pool(4);
   const std::size_t n = 100000;

@@ -8,9 +8,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/fleet_simulator.hpp"
 #include "store/crc32.hpp"
 #include "trace/v2_fixture.hpp"
@@ -155,7 +157,7 @@ TEST(ColumnarStore, GatherDriveReusesScratchVectors) {
 TEST(ColumnarStore, OpenIsMmapBackedAndMatchesHeapOpen) {
   const trace::FleetTrace fleet = simulated_fleet(6);
   const std::string path = temp_path("mmap_vs_heap");
-  write_columnar_file(path, fleet, {4});
+  write_columnar_file(path, fleet.drives, {4});
 
   const auto mapped = ColumnarFleetView::open(path);
   OpenOptions no_mmap;
@@ -421,6 +423,125 @@ TEST(ColumnarStore, V2FixtureScanChunkReturnsTheMappedView) {
     for (std::size_t c = 0; c < view.chunk_count(); ++c)
       EXPECT_EQ(&view.scan_chunk(c, scratch), &view.chunk(c)) << "chunk " << c;
     EXPECT_EQ(decodes.value(), before);
+  }
+}
+
+// ---- Pinned bytes ---------------------------------------------------------
+//
+// FNV-1a digests of the v3 file bytes, captured from the serial writer that
+// encoded every chunk on the calling thread.  Chunks are now encoded on the
+// pool and appended in chunk order, so the bytes must not depend on the
+// pool size, on which worker encoded which chunk, or on the order chunks
+// finished in.
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint64_t written_digest(std::span<const trace::DriveHistory> drives,
+                             std::uint32_t chunk_drives, parallel::ThreadPool& pool) {
+  std::ostringstream out(std::ios::binary);
+  write_columnar(out, drives, {chunk_drives}, pool);
+  return fnv1a(out.str());
+}
+
+/// 40 drives of every model over the full six-year window.
+const trace::FleetTrace& long_mixed_fleet() {
+  static const trace::FleetTrace fleet = [] {
+    sim::FleetConfig cfg;
+    cfg.drives_per_model = 8;
+    cfg.seed = 1717;
+    return sim::FleetSimulator(cfg.mixed()).generate_all();
+  }();
+  return fleet;
+}
+
+/// 300 drives of every model over 400 days: several chunks even at 256.
+const trace::FleetTrace& wide_mixed_fleet() {
+  static const trace::FleetTrace fleet = [] {
+    sim::FleetConfig cfg;
+    cfg.drives_per_model = 60;
+    cfg.window_days = 400;
+    cfg.seed = 4242;
+    return sim::FleetSimulator(cfg.mixed()).generate_all();
+  }();
+  return fleet;
+}
+
+struct BytePin {
+  std::uint32_t chunk_drives;
+  std::uint64_t digest;
+};
+
+constexpr BytePin kLongMixedPins[] = {
+    {1, 0x57677237deb8fb39ull},
+    {7, 0xc1a67f087d12d2bcull},
+    {64, 0x5a7edf5fc938edc5ull},
+    {256, 0xfa78b6b9895b3726ull},
+};
+constexpr BytePin kWideMixedPins[] = {
+    {1, 0x7ccaaec2f703abb9ull},
+    {7, 0x5582c0ae3a12ba14ull},
+    {64, 0x6ca5c542d7924591ull},
+    {256, 0xd7920335c7e5b140ull},
+};
+
+void expect_pinned_at_every_pool_size(const trace::FleetTrace& fleet,
+                                      std::span<const BytePin> pins) {
+  parallel::ThreadPool serial(1);
+  parallel::ThreadPool pair(2);
+  for (const BytePin& pin : pins) {
+    SCOPED_TRACE("chunk_drives " + std::to_string(pin.chunk_drives));
+    EXPECT_EQ(written_digest(fleet.drives, pin.chunk_drives, serial), pin.digest);
+    EXPECT_EQ(written_digest(fleet.drives, pin.chunk_drives, pair), pin.digest);
+    // N workers: the shared pool, whatever this host sizes it to.
+    EXPECT_EQ(written_digest(fleet.drives, pin.chunk_drives, parallel::ThreadPool::global()),
+              pin.digest);
+  }
+}
+
+TEST(ColumnarStore, PinnedLongMixedFleetBytesAtEveryChunkAndPoolSize) {
+  expect_pinned_at_every_pool_size(long_mixed_fleet(), kLongMixedPins);
+}
+
+TEST(ColumnarStore, PinnedWideMixedFleetBytesAtEveryChunkAndPoolSize) {
+  expect_pinned_at_every_pool_size(wide_mixed_fleet(), kWideMixedPins);
+}
+
+TEST(ColumnarStore, PinnedBytesForAnEmptyFleetAndASingleChunk) {
+  // No chunks: header, empty directory, footer, trailer.
+  constexpr BytePin kEmpty[] = {{8, 0x4c2289cd0df71550ull}};
+  expect_pinned_at_every_pool_size(trace::FleetTrace{}, kEmpty);
+  // Seven drives in one chunk: nothing to hand to a second worker.
+  constexpr BytePin kOneChunk[] = {{64, 0x14eabc948457734eull}};
+  expect_pinned_at_every_pool_size(tiny_fleet(), kOneChunk);
+}
+
+TEST(ColumnarStore, FewerChunksThanWorkersKeepsPinnedBytes) {
+  // 300 drives at 128 per chunk: three chunks for four workers.
+  parallel::ThreadPool pool(4);
+  EXPECT_EQ(written_digest(wide_mixed_fleet().drives, 128, pool), 0x9c7619e77fdb8000ull);
+}
+
+TEST(ColumnarStore, WriteStartedInsidePoolTaskRunsInlineWithPinnedBytes) {
+  // A write from a pool task defaults to that pool and, being on one of
+  // its workers, encodes inline on the calling thread.
+  parallel::ThreadPool pool(2);
+  for (const BytePin& pin : kWideMixedPins) {
+    std::uint64_t digest = 0;
+    parallel::TaskGroup group(pool);
+    group.submit([&] {
+      std::ostringstream out(std::ios::binary);
+      write_columnar(out, wide_mixed_fleet(), {pin.chunk_drives});
+      digest = fnv1a(out.str());
+    });
+    group.wait();
+    EXPECT_EQ(digest, pin.digest) << "chunk_drives " << pin.chunk_drives;
   }
 }
 

@@ -24,6 +24,21 @@
 namespace ssdfail::store {
 namespace {
 
+/// One encoded column: the chosen encoding plus its payload bytes.
+struct EncodedColumn {
+  ColumnEncoding encoding = ColumnEncoding::kRaw;
+  std::vector<char> payload;
+};
+
+/// encode_column into a fresh raw-sized buffer and scratch.
+EncodedColumn encode(std::span<const std::uint64_t> values, std::size_t elem_bytes) {
+  std::vector<char> out(values.size() * elem_bytes);
+  EncodeScratch scratch;
+  const EncodedPayload enc = encode_column(values, elem_bytes, out, scratch);
+  out.resize(enc.bytes);
+  return {enc.encoding, std::move(out)};
+}
+
 // --- Reference codec -------------------------------------------------------
 // The first v3 codec, kept verbatim in spirit as the oracle: it packs and
 // unpacks one bit slice at a time, builds all four payloads and keeps the
@@ -266,7 +281,7 @@ std::vector<std::uint64_t> widen(const std::vector<T>& v) {
 
 template <ColumnElement T>
 void roundtrip(const std::vector<T>& values) {
-  const EncodedColumn enc = encode_column(widen(values), sizeof(T));
+  const EncodedColumn enc = encode(widen(values), sizeof(T));
   ASSERT_EQ(values, decode_as<T>(enc.encoding, enc.payload, values.size()))
       << "winner encoding " << encoding_name(enc.encoding);
 }
@@ -282,7 +297,7 @@ std::vector<char> bytes_of(std::initializer_list<int> bytes) {
 TEST(ColumnCodec, EmptyColumn) {
   roundtrip(std::vector<std::uint32_t>{});
   roundtrip(std::vector<std::uint8_t>{});
-  const EncodedColumn enc = encode_column({}, 4);
+  const EncodedColumn enc = encode({}, 4);
   EXPECT_TRUE(enc.payload.empty());
 }
 
@@ -290,7 +305,7 @@ TEST(ColumnCodec, MonotoneCumulativePrefersDelta) {
   std::vector<std::uint32_t> values;
   std::uint32_t v = 1000;
   for (int i = 0; i < 1000; ++i) values.push_back(v += 3);
-  const EncodedColumn enc = encode_column(widen(values), 4);
+  const EncodedColumn enc = encode(widen(values), 4);
   EXPECT_EQ(enc.encoding, ColumnEncoding::kDeltaPack);
   EXPECT_LT(enc.payload.size(), values.size());  // ~2 bits/value + headers
   roundtrip(values);
@@ -298,14 +313,14 @@ TEST(ColumnCodec, MonotoneCumulativePrefersDelta) {
 
 TEST(ColumnCodec, ConstantColumnPacksToNearNothing) {
   const std::vector<std::uint32_t> values(4096, 77);
-  const EncodedColumn enc = encode_column(widen(values), 4);
+  const EncodedColumn enc = encode(widen(values), 4);
   EXPECT_LE(enc.payload.size(), 64u);  // rle pair or width-0 delta blocks
   roundtrip(values);
 }
 
 TEST(ColumnCodec, AllZeroColumn) {
   const std::vector<std::uint32_t> values(1000, 0);
-  const EncodedColumn enc = encode_column(widen(values), 4);
+  const EncodedColumn enc = encode(widen(values), 4);
   EXPECT_LE(enc.payload.size(), 40u);
   roundtrip(values);
 }
@@ -314,7 +329,7 @@ TEST(ColumnCodec, NoisyBoundedValuesBeatRaw) {
   stats::Rng rng(42);
   std::vector<std::uint32_t> values;
   for (int i = 0; i < 2000; ++i) values.push_back(rng.next_u32() % 100000);
-  const EncodedColumn enc = encode_column(widen(values), 4);
+  const EncodedColumn enc = encode(widen(values), 4);
   EXPECT_LT(enc.payload.size(), values.size() * 4);  // <17 of 32 bits/value
   roundtrip(values);
 }
@@ -354,7 +369,7 @@ TEST(ColumnCodec, NarrowTypesRoundTrip) {
 TEST(ColumnCodec, FlagRunsPreferRle) {
   std::vector<std::uint8_t> flags(10000, 0);
   for (std::size_t i = 9000; i < flags.size(); ++i) flags[i] = 2;  // died late
-  const EncodedColumn enc = encode_column(widen(flags), 1);
+  const EncodedColumn enc = encode(widen(flags), 1);
   EXPECT_LE(enc.payload.size(), 16u);
   roundtrip(flags);
 }
@@ -378,6 +393,35 @@ TEST(ColumnCodec, RandomColumnsRoundTripAllShapes) {
     }
     roundtrip(values);
   }
+}
+
+TEST(ColumnCodec, WritesOnlyItsPayloadWithReusedScratch) {
+  // One scratch across columns of shrinking and growing length, each
+  // encoded into a larger sentinel-filled buffer: the payload is exactly
+  // what a fresh encode produces, and no byte past it is touched.
+  stats::Rng rng(77);
+  EncodeScratch scratch;
+  for (const std::size_t n : {1000u, 3u, 0u, 700u, 129u}) {
+    std::vector<std::uint64_t> values;
+    std::uint64_t cum = 0;
+    for (std::size_t i = 0; i < n; ++i) values.push_back(cum += rng.uniform_index(5));
+    const EncodedColumn fresh = encode(values, 4);
+    std::vector<char> out(n * 4 + 16, '\x5a');
+    const EncodedPayload enc = encode_column(values, 4, out, scratch);
+    EXPECT_EQ(enc.encoding, fresh.encoding);
+    ASSERT_EQ(enc.bytes, fresh.payload.size()) << "column of " << n;
+    EXPECT_TRUE(std::equal(fresh.payload.begin(), fresh.payload.end(), out.begin()));
+    EXPECT_TRUE(std::all_of(out.begin() + static_cast<std::ptrdiff_t>(enc.bytes), out.end(),
+                            [](char c) { return c == '\x5a'; }))
+        << "column of " << n;
+  }
+}
+
+TEST(ColumnCodec, RejectsAnOutputSmallerThanTheRawSize) {
+  const std::vector<std::uint64_t> values(100, 7);
+  std::vector<char> out(399);
+  EncodeScratch scratch;
+  EXPECT_THROW((void)encode_column(values, 4, out, scratch), std::length_error);
 }
 
 // --- Oracle property -------------------------------------------------------
@@ -405,7 +449,7 @@ template <ColumnElement T>
 void check_against_reference(std::span<const std::uint64_t> values, const std::string& what) {
   const std::vector<EncodedColumn> payloads = reference::all_payloads(values, sizeof(T));
   const EncodedColumn want = reference::smallest(payloads);
-  const EncodedColumn got = encode_column(values, sizeof(T));
+  const EncodedColumn got = encode(values, sizeof(T));
   ASSERT_EQ(got.encoding, want.encoding) << what;
   ASSERT_EQ(got.payload, want.payload) << what;
   for (const EncodedColumn& p : payloads)
@@ -495,7 +539,7 @@ TEST(ColumnCodec, DecodeRejectsValueOutOfTypeRange) {
                std::runtime_error);
   // The same through the writer (8-byte elements, decoded as 4).
   const std::vector<std::uint64_t> big = {std::uint64_t{1} << 32};
-  const EncodedColumn enc = encode_column(big, 8);
+  const EncodedColumn enc = encode(big, 8);
   EXPECT_THROW((void)decode_as<std::uint32_t>(enc.encoding, enc.payload, 1),
                std::runtime_error);
 }

@@ -12,7 +12,9 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <iterator>
 #include <string>
+#include <string_view>
 
 #include "sim/fleet_simulator.hpp"
 #include "trace/v2_fixture.hpp"
@@ -186,6 +188,56 @@ TEST(ShardedStore, OpenRejectsTotalsMismatch) {
   m.shards[0].n_records += 1;
   write_manifest(dir.str(), m);
   EXPECT_THROW((void)ShardedFleetView::open(dir.str()), std::runtime_error);
+}
+
+// FNV-1a digests of every shard file's bytes, then the manifest's, in
+// manifest order, captured from the writer that copied each shard's drives
+// into a temporary fleet and encoded its chunks serially.  Shards are now
+// encoded straight from their range of the fleet, on the pool.
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::uint64_t store_digest(const std::string& dir) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const ShardInfo& shard : read_manifest(dir).shards)
+    h = fnv1a(file_bytes(std::filesystem::path(dir) / shard.file), h);
+  return fnv1a(file_bytes(std::filesystem::path(dir) / kManifestName), h);
+}
+
+TEST(ShardedStore, PinnedShardAndManifestBytesAtEveryShardSize) {
+  sim::FleetConfig cfg;
+  cfg.drives_per_model = 12;
+  cfg.window_days = 900;
+  cfg.seed = 1818;
+  const trace::FleetTrace fleet = sim::FleetSimulator(cfg.mixed()).generate_all();
+  struct Pin {
+    std::uint32_t drives_per_shard;
+    std::uint64_t digest;
+  };
+  constexpr Pin kPins[] = {
+      {1, 0x89dd4bc4fa6a76a9ull},
+      {7, 0x9970af0222cda624ull},
+      {256, 0x38ceda1a10de00f1ull},
+  };
+  for (const Pin& pin : kPins) {
+    TempDir dir("pinned_" + std::to_string(pin.drives_per_shard));
+    ShardedWriteOptions opts;
+    opts.drives_per_shard = pin.drives_per_shard;
+    opts.store.chunk_drives = 5;
+    write_sharded(dir.str(), fleet, opts);
+    EXPECT_EQ(store_digest(dir.str()), pin.digest)
+        << "drives_per_shard " << pin.drives_per_shard;
+  }
 }
 
 }  // namespace
